@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use wap_core::{Phase, ScanStats, ToolConfig, WapTool};
+use wap_core::{Phase, ScanOptions, ScanStats, ToolConfig, WapTool};
 
 // Count allocations so the cold-phase report can include them; the
 // pipeline reads the counter via `wap_obs::allocations_now`.
@@ -182,9 +182,15 @@ fn measure() -> Measurement {
     // CFG/lint pass cost, reported but outside the gate: the pass is
     // compiled in yet off by default, so the gated sweeps above never
     // pay for it
-    let guarded = WapTool::new(ToolConfig::builder().jobs(1).guard_attributes(true).build());
-    let guarded_report = guarded
-        .scan(&sources, Some(&[]))
+    let guarded_report = WapTool::new(ToolConfig::builder().jobs(1).build())
+        .scan(
+            &sources,
+            &ScanOptions {
+                guards: true,
+                lint: Some(Vec::new()),
+                ..ScanOptions::default()
+            },
+        )
         .expect("builtin lint rules always compile");
     println!(
         "ci_bench: cfg phase {} ms, lint phase {} ms (opt-in --guards/--lint, not gated)",

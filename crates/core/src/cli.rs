@@ -237,16 +237,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                 let f = it.next().ok_or("--weapon needs a file path")?;
                 opts.weapon_files.push(PathBuf::from(f));
             }
-            "--jobs" | "-j" => {
-                let v = it.next().ok_or("--jobs needs a thread count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a number, got {v}"))?;
-                if n == 0 {
-                    return Err(WapError::usage("--jobs must be at least 1"));
-                }
-                opts.jobs = Some(n);
-            }
+            "--jobs" | "-j" => opts.jobs = Some(positive_arg(&mut it, "--jobs", "a thread count")?),
             "--cache" => {
                 if opts.cache_dir.is_none() {
                     opts.cache_dir = Some(default_cache_dir());
@@ -287,6 +278,27 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
         return Err(WapError::usage("no input paths given (try --help)"));
     }
     Ok(opts)
+}
+
+/// Reads the value of a flag that takes a positive integer (`--jobs 4`,
+/// `--poll-ms 200`): the next argument, parsed and non-zero. `what` names
+/// the value in the message for a missing one. Every front end's parser
+/// reads its counts through this.
+///
+/// # Errors
+///
+/// Returns a message naming the flag when the value is missing, not a
+/// number, or zero.
+pub fn positive_arg<T: std::str::FromStr + Default + PartialEq>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs {what}"))?;
+    v.parse::<T>()
+        .ok()
+        .filter(|n| *n != T::default())
+        .ok_or_else(|| format!("{flag} needs a positive number, got {v}"))
 }
 
 /// Recursively collects `.php` files under the given paths, sorted.
@@ -336,8 +348,9 @@ pub fn build_tool(opts: &CliOptions) -> Result<WapTool, WapError> {
     config.jobs = opts.jobs.or_else(wap_runtime::jobs_from_env);
     config.cache_dir = opts.cache_dir.clone();
     config.trace = opts.trace.is_some() || opts.stats;
-    config.guard_attributes = opts.guards;
-    config.values = opts.values;
+    config.scan.guards = opts.guards;
+    config.scan.values = opts.values;
+    let mut packs = Vec::with_capacity(opts.rules.len());
     if !opts.rules.is_empty() {
         let store = wap_rules::Store::new(
             opts.rules_dir
@@ -345,14 +358,13 @@ pub fn build_tool(opts: &CliOptions) -> Result<WapTool, WapError> {
                 .unwrap_or_else(wap_rules::default_rules_dir),
         );
         for reference in &opts.rules {
-            config
-                .rule_packs
-                .push(store.resolve(reference).map_err(|e| WapError::Config {
-                    what: format!("--rules {reference}"),
-                    detail: e,
-                })?);
+            packs.push(store.resolve(reference).map_err(|e| WapError::Config {
+                what: format!("--rules {reference}"),
+                detail: e,
+            })?);
         }
     }
+    config.scan.lint = opts.lint.then_some(packs);
     let mut tool = WapTool::new(config);
     // link in sorted-name order so the catalog (and its fingerprint) does
     // not depend on the order weapon files were listed or discovered
@@ -409,7 +421,7 @@ pub fn run(opts: &CliOptions) -> Result<(i32, String), WapError> {
     }
     let tool = build_tool(opts)?;
     let report = tool
-        .scan(&sources, opts.lint.then_some(&tool.config().rule_packs[..]))
+        .scan(&sources, &tool.config().scan)
         .expect("builtin, weapon-declared and installed pack rules always compile");
 
     let classes: Vec<VulnClass> = tool.catalog().classes().cloned().collect();
@@ -751,13 +763,15 @@ mod tests {
         store.install_pack(&wap_rules::RulePack::wordpress()).unwrap();
         let opts = CliOptions {
             paths: vec![PathBuf::from(".")],
+            lint: true,
             rules: vec!["wordpress".to_string()],
             rules_dir: Some(dir.clone()),
             ..Default::default()
         };
         let tool = build_tool(&opts).unwrap();
-        assert_eq!(tool.config().rule_packs.len(), 1);
-        assert_eq!(tool.config().rule_packs[0].name, "wordpress");
+        let packs = tool.config().scan.lint.as_deref().expect("lint is on");
+        assert_eq!(packs.len(), 1);
+        assert_eq!(packs[0].name, "wordpress");
         // unknown packs are a config error, not a silent no-op
         let bad = CliOptions {
             rules: vec!["no-such-pack".to_string()],
@@ -778,12 +792,12 @@ mod tests {
             values: true,
             ..Default::default()
         };
-        assert!(build_tool(&opts).unwrap().config().values);
+        assert!(build_tool(&opts).unwrap().config().scan.values);
         let plain = CliOptions {
             paths: vec![PathBuf::from(".")],
             ..Default::default()
         };
-        assert!(!build_tool(&plain).unwrap().config().values);
+        assert!(!build_tool(&plain).unwrap().config().scan.values);
     }
 
     #[test]
@@ -793,12 +807,12 @@ mod tests {
             guards: true,
             ..Default::default()
         };
-        assert!(build_tool(&opts).unwrap().config().guard_attributes);
+        assert!(build_tool(&opts).unwrap().config().scan.guards);
         let plain = CliOptions {
             paths: vec![PathBuf::from(".")],
             ..Default::default()
         };
-        assert!(!build_tool(&plain).unwrap().config().guard_attributes);
+        assert!(!build_tool(&plain).unwrap().config().scan.guards);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use wap_taint::{
 
 use wap_obs::{JobHandle, Phase};
 
-use crate::pipeline::{elapsed_ns, scan_stats, AppReport, Finding, WapTool};
+use crate::pipeline::{elapsed_ns, scan_stats, AppReport, Finding, ScanOptions, WapTool};
 
 /// Bumped whenever key derivation or any payload layout in this module
 /// changes; combined with the tool version so entries never cross builds.
@@ -103,19 +103,20 @@ fn findings_key(
 
 /// Everything cached runs need to know about what analysis they are
 /// running: catalog contents (weapons included), generation, training
-/// seed, analysis options, and whether CFG guard refinement is on. Any
-/// difference must yield disjoint keys.
-pub(crate) fn config_fingerprint(tool: &WapTool) -> String {
+/// seed, analysis options, and whether this scan refines with CFG guards
+/// or value analysis. Any difference must yield disjoint keys. Lint packs
+/// are not part of it: they key only the `cfg` entries ([`cfg_lint_key`]).
+pub(crate) fn config_fingerprint(tool: &WapTool, options: &ScanOptions) -> String {
     let base = [
         tool.catalog.fingerprint_material(),
         format!("{:?}", tool.config.generation),
         tool.config.seed.to_string(),
         format!("{:?}", tool.config.analysis),
-        format!("guards:{}", tool.config.guard_attributes),
+        format!("guards:{}", options.guards),
     ];
     // the field joins only when value analysis is on, so value-less
     // fingerprints stay identical to the historical four-field scheme
-    if tool.config.values {
+    if options.values {
         fields_hash(base.into_iter().chain(["values:true".to_string()]))
     } else {
         fields_hash(base)
@@ -764,6 +765,7 @@ pub(crate) fn analyze_sources_cached(
     tool: &WapTool,
     store: &CacheStore,
     sources: &[(String, String)],
+    options: &ScanOptions,
     obs: JobHandle<'_>,
 ) -> Option<AppReport> {
     let start = Instant::now();
@@ -785,7 +787,7 @@ pub(crate) fn analyze_sources_cached(
         }
     }
 
-    let config_fp = config_fingerprint(tool);
+    let config_fp = config_fingerprint(tool, options);
 
     // ---- decl stage: content hash every file, learn its declarations ----
     let t = Instant::now();
@@ -953,7 +955,7 @@ pub(crate) fn analyze_sources_cached(
         .collect();
 
     // ---- value analysis (`--values`): cached per-file resolutions ----
-    let mut values_state = if tool.config.values {
+    let mut values_state = if options.values {
         Some(run_values_cached(
             store,
             &runtime,
@@ -1259,7 +1261,7 @@ pub(crate) fn analyze_sources_cached(
             .collect();
         // CFG lowering for guard refinement, one graph set per miss
         // file — exactly the files the cold path would lower
-        let cfgs_by_file: HashMap<usize, wap_cfg::FileCfgs> = if tool.config.guard_attributes {
+        let cfgs_by_file: HashMap<usize, wap_cfg::FileCfgs> = if options.guards {
             let t = Instant::now();
             let mut uniq = want.clone();
             uniq.sort_unstable();
@@ -1284,7 +1286,7 @@ pub(crate) fn analyze_sources_cached(
                 .expect("parsed for findings");
             let candidate = candidates[k].clone();
             let mut symptoms = collect(program, &candidate, &tool.dynamic_symptoms);
-            if tool.config.guard_attributes {
+            if options.guards {
                 if let Some(file_cfgs) = cfgs_by_file.get(&groups[gi].file) {
                     crate::pipeline::refine_with_cfg(&mut symptoms, file_cfgs, &candidate);
                 }
@@ -1352,4 +1354,44 @@ pub(crate) fn analyze_sources_cached(
         tool_name: wap_report::TOOL_NAME,
         tool_version: wap_report::TOOL_VERSION,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::ToolConfig;
+
+    /// Moving guards and values from the tool to the scan must not re-key
+    /// the cache: these are the fingerprints the tool-level flags
+    /// produced, so entries written before the move stay warm.
+    #[test]
+    fn config_fingerprints_survive_the_move_to_scan_options() {
+        let tool = WapTool::new(ToolConfig::wape_full());
+        let fp = |guards, values| {
+            let options = ScanOptions {
+                guards,
+                values,
+                lint: None,
+            };
+            config_fingerprint(&tool, &options)
+        };
+        assert_eq!(
+            fp(false, false),
+            "f48ed7ff665ffb17ec3502088ff3b7aedcca61de63f83deb639b12b656418120"
+        );
+        assert_eq!(
+            fp(true, false),
+            "baa3b05a34e453b1591d97d99697dd02bab3bee3f2d2ed4d5dabd2114d8b031c"
+        );
+        assert_eq!(
+            fp(false, true),
+            "42269b705ae4fd55f12206ce675c4728e798156f8923672ff6f5ee0ea80cf147"
+        );
+        // packs key only the `cfg` entries, never the shared fingerprint
+        let linted = ScanOptions {
+            lint: Some(vec![wap_rules::RulePack::wordpress()]),
+            ..ScanOptions::default()
+        };
+        assert_eq!(config_fingerprint(&tool, &linted), fp(false, false));
+    }
 }

@@ -46,7 +46,9 @@ pub use wap_cache as cache;
 
 pub use error::WapError;
 pub use overlay::{collect_sources_with_overlay, SourceOverlay};
-pub use pipeline::{AppReport, Finding, Generation, ToolConfig, ToolConfigBuilder, WapTool};
+pub use pipeline::{
+    AppReport, Finding, Generation, ScanOptions, ToolConfig, ToolConfigBuilder, WapTool,
+};
 pub use wap_obs::{allocations_now, peak_rss_bytes, CountingAlloc};
 pub use wap_report::{Format, Phase, ScanStats, TOOL_NAME, TOOL_VERSION};
 pub use wap_runtime::Runtime;

@@ -48,27 +48,41 @@ pub struct ToolConfig {
     /// (`--trace`/`--stats`). Observation only: findings and machine
     /// report bytes are bit-identical with tracing on or off.
     pub trace: bool,
+    /// The scan options [`WapTool::analyze_sources`] and
+    /// [`WapTool::apply_lint`] run with, and the ones front ends hand to
+    /// [`WapTool::scan`] unless a request asks for others.
+    pub scan: ScanOptions,
+}
+
+/// The choices made for each scan rather than for the tool. A
+/// [`WapTool`] is its catalog, its linked weapons and its trained
+/// committee; guard refinement, value analysis and the lint pass are
+/// picked per [`WapTool::scan`] call, so one resident tool serves every
+/// combination. Each option is folded into the cache keys it affects, so
+/// results computed under one set are never served to another.
+///
+/// Everything is off by default: the headline reproduction keeps the
+/// paper's plain symptom collector and syntactic call graph bit for bit.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ScanOptions {
     /// Refine collected symptom vectors with CFG guard analysis
-    /// (`wap-cfg`): validation symptoms the dominator analysis cannot
-    /// prove to guard the sink are cleared before prediction. Off by
-    /// default — the headline reproduction keeps the paper's plain
-    /// symptom collector bit-for-bit.
-    pub guard_attributes: bool,
-    /// Rule packs whose rules join the lint pass (`--rules`). The joined
-    /// pack fingerprints key the cached per-file lint results, so
-    /// installing or upgrading a pack invalidates exactly the `cfg`
-    /// cache entries; with no packs the keys (and all output bytes) are
-    /// identical to a build without pack support.
-    pub rule_packs: Vec<wap_rules::RulePack>,
+    /// (`--guards`, `wap-cfg`): validation symptoms the dominator
+    /// analysis cannot prove to guard the sink are cleared before
+    /// prediction.
+    pub guards: bool,
     /// Interprocedural constant/string value analysis (`--values`,
     /// `wap-cfg::values`): resolves dynamic `include`/`require` paths and
     /// variable-function/`call_user_func` targets into extra taint
     /// call-graph edges, and refines symptom vectors with the sink's
     /// value context (quoted string, numeric cast, identifier position).
-    /// Off by default — the headline reproduction keeps the syntactic
-    /// call graph bit-for-bit, and the flag is config-fingerprinted so
-    /// cached results never cross configurations.
     pub values: bool,
+    /// Run the CFG lint pass (`--lint`) with these rule packs joined into
+    /// its rule set (`--rules`); `None` skips the pass. The joined pack
+    /// fingerprints key the cached per-file lint results, so installing
+    /// or upgrading a pack invalidates exactly the `cfg` cache entries;
+    /// with no packs the keys (and all output bytes) are identical to a
+    /// build without pack support.
+    pub lint: Option<Vec<wap_rules::RulePack>>,
 }
 
 impl ToolConfig {
@@ -82,9 +96,7 @@ impl ToolConfig {
             jobs: None,
             cache_dir: None,
             trace: false,
-            guard_attributes: false,
-            rule_packs: Vec::new(),
-            values: false,
+            scan: ScanOptions::default(),
         }
     }
 
@@ -99,9 +111,7 @@ impl ToolConfig {
             jobs: None,
             cache_dir: None,
             trace: false,
-            guard_attributes: false,
-            rule_packs: Vec::new(),
-            values: false,
+            scan: ScanOptions::default(),
         }
     }
 
@@ -120,9 +130,7 @@ impl ToolConfig {
             jobs: None,
             cache_dir: None,
             trace: false,
-            guard_attributes: false,
-            rule_packs: Vec::new(),
-            values: false,
+            scan: ScanOptions::default(),
         }
     }
 
@@ -234,26 +242,26 @@ impl ToolConfigBuilder {
     }
 
     /// Enable (or disable) CFG guard refinement of symptom vectors
-    /// ([`ToolConfig::guard_attributes`]).
+    /// ([`ScanOptions::guards`]).
     #[must_use]
     pub fn guard_attributes(mut self, on: bool) -> Self {
-        self.config.guard_attributes = on;
+        self.config.scan.guards = on;
         self
     }
 
-    /// Replace the rule packs joined into the lint pass
-    /// ([`ToolConfig::rule_packs`]).
+    /// Run the lint pass with these rule packs joined into it
+    /// ([`ScanOptions::lint`]).
     #[must_use]
     pub fn rule_packs(mut self, packs: Vec<wap_rules::RulePack>) -> Self {
-        self.config.rule_packs = packs;
+        self.config.scan.lint = Some(packs);
         self
     }
 
     /// Enable (or disable) the interprocedural value analysis
-    /// ([`ToolConfig::values`]).
+    /// ([`ScanOptions::values`]).
     #[must_use]
     pub fn values(mut self, on: bool) -> Self {
-        self.config.values = on;
+        self.config.scan.values = on;
         self
     }
 
@@ -417,7 +425,8 @@ impl WapTool {
 
     /// Analyzes an application given as `(file name, source)` pairs:
     /// parses, runs taint analysis across all files, collects symptoms,
-    /// and classifies every candidate.
+    /// and classifies every candidate, with guard refinement and value
+    /// analysis as the configuration's [`ToolConfig::scan`] sets them.
     ///
     /// Every phase fans out over [`WapTool::runtime`]; findings come back
     /// sorted by (file, line, class) regardless of the worker count.
@@ -427,23 +436,19 @@ impl WapTool {
     /// set, or configuration changed since the cached run are re-analyzed;
     /// the findings are bit-identical to an uncached run either way.
     pub fn analyze_sources(&self, sources: &[(String, String)]) -> AppReport {
-        self.analyze(sources).0
+        self.analyze(sources, &self.config.scan).0
     }
 
-    /// Analyzes `sources` and, when `lint` names a rule-pack set, runs the
-    /// lint pass with those packs joined into the rule set — the one entry
-    /// point for "analyze, then maybe lint".
+    /// Scans `sources` under `options`: the analysis with the guard and
+    /// value choices `options` makes, then the lint pass when
+    /// [`ScanOptions::lint`] names a pack set. This is the one entry point
+    /// every front end uses; one tool serves any mix of options, and the
+    /// report is byte-identical to one from a tool built with those
+    /// options as its defaults.
     ///
-    /// The result equals [`WapTool::analyze_sources`] followed by
-    /// [`WapTool::apply_lint`] byte for byte, but on the uncached path the
-    /// lint pass reuses the programs, CFGs and value facts the analysis
-    /// already derived, so each file is parsed once, lowered at most once
-    /// and value-analyzed at most once.
-    ///
-    /// Pack fingerprints are hashed into the per-file `cfg` cache keys,
-    /// so results produced under one pack set are never served to
-    /// another; with no packs the keys match the pack-less scheme
-    /// exactly.
+    /// The lint pass reuses the programs, CFGs and value facts the
+    /// uncached analysis already derived, so each file is parsed once,
+    /// lowered at most once and value-analyzed at most once.
     ///
     /// # Errors
     ///
@@ -452,11 +457,11 @@ impl WapTool {
     pub fn scan(
         &self,
         sources: &[(String, String)],
-        lint: Option<&[wap_rules::RulePack]>,
+        options: &ScanOptions,
     ) -> Result<AppReport, wap_cfg::RuleError> {
-        let (mut report, artifacts) = self.analyze(sources);
-        if let Some(packs) = lint {
-            self.lint(&mut report, sources, packs, &artifacts)?;
+        let (mut report, artifacts) = self.analyze(sources, options);
+        if options.lint.is_some() {
+            self.lint(&mut report, sources, options, &artifacts)?;
         }
         Ok(report)
     }
@@ -464,16 +469,20 @@ impl WapTool {
     /// The cached pipeline when a store is configured and accepts the
     /// input, else the uncached one — which alone hands back what it
     /// derived along the way.
-    fn analyze(&self, sources: &[(String, String)]) -> (AppReport, ScanArtifacts) {
+    fn analyze(
+        &self,
+        sources: &[(String, String)],
+        options: &ScanOptions,
+    ) -> (AppReport, ScanArtifacts) {
         let obs = self.obs.job();
         if let Some(store) = &self.cache {
             if let Some(report) =
-                crate::incremental::analyze_sources_cached(self, store, sources, obs)
+                crate::incremental::analyze_sources_cached(self, store, sources, options, obs)
             {
                 return (report, ScanArtifacts::default());
             }
         }
-        self.analyze_sources_cold(sources, obs)
+        self.analyze_sources_cold(sources, options, obs)
     }
 
     /// The uncached pipeline — also the fallback when the cached path
@@ -482,6 +491,7 @@ impl WapTool {
     fn analyze_sources_cold(
         &self,
         sources: &[(String, String)],
+        options: &ScanOptions,
         obs: JobHandle<'_>,
     ) -> (AppReport, ScanArtifacts) {
         let start = Instant::now();
@@ -521,7 +531,7 @@ impl WapTool {
         // facts, feeding extra taint call-graph edges and sink contexts.
         // Skipped entirely unless the flag is on, so default runs match
         // value-less builds byte for byte.
-        let values = self.config.values.then(|| {
+        let values = options.values.then(|| {
             let inputs: Vec<(&str, &Program)> = parsed
                 .iter()
                 .map(|f| (f.name.as_str(), &f.program))
@@ -554,7 +564,7 @@ impl WapTool {
         // graphs, zero nanoseconds) unless the flag is on, so default
         // runs match pre-CFG builds byte for byte
         let cfg_start = Instant::now();
-        let cfgs: Vec<wap_cfg::FileCfgs> = if self.config.guard_attributes {
+        let cfgs: Vec<wap_cfg::FileCfgs> = if options.guards {
             runtime.run(parsed.len(), |i| {
                 let _span = obs.span_file(Phase::Cfg, &parsed[i].name);
                 wap_cfg::lower_program(&parsed[i].program)
@@ -562,7 +572,7 @@ impl WapTool {
         } else {
             Vec::new()
         };
-        let cfg_ns = if self.config.guard_attributes {
+        let cfg_ns = if options.guards {
             elapsed_ns(cfg_start)
         } else {
             0
@@ -593,7 +603,7 @@ impl WapTool {
                     present: Vec::new(),
                 },
             };
-            if self.config.guard_attributes {
+            if options.guards {
                 if let Some(file_cfgs) = candidate.file.as_deref().and_then(|f| cfgs_by_name.get(f))
                 {
                     refine_with_cfg(&mut symptoms, file_cfgs, &candidate);
@@ -653,7 +663,8 @@ impl WapTool {
 
     /// Runs the CFG lint pass over `sources` and attaches its findings,
     /// rule table, and phase timings to `report`, with the configured
-    /// rule packs ([`ToolConfig::rule_packs`]) joined into the rule set.
+    /// rule packs (`ToolConfig::scan.lint`, none when unset) joined into
+    /// the rule set.
     ///
     /// Call it after [`WapTool::analyze_sources`] on the same sources —
     /// the tainted-sink rule reads the report's taint candidates, so a
@@ -671,28 +682,29 @@ impl WapTool {
         self.lint(
             report,
             sources,
-            &self.config.rule_packs,
+            &self.config.scan,
             &ScanArtifacts::default(),
         )
         .expect("builtin and weapon-declared lint rules always compile");
     }
 
     /// The lint pass: the built-in lints, the weapon-declared rules, and
-    /// every pack rule compile into one [`wap_cfg::RuleSet`] and run
-    /// through the same engine. Whatever `artifacts` holds is reused;
-    /// whatever it lacks is derived here.
+    /// every pack `options` names compile into one [`wap_cfg::RuleSet`]
+    /// and run through the same engine. Whatever `artifacts` holds is
+    /// reused; whatever it lacks is derived here.
     fn lint(
         &self,
         report: &mut AppReport,
         sources: &[(String, String)],
-        packs: &[wap_rules::RulePack],
+        options: &ScanOptions,
         artifacts: &ScanArtifacts,
     ) -> Result<(), wap_cfg::RuleError> {
         use wap_cfg::{LintFinding, RuleSpec, SinkEvent};
 
         let obs = self.obs.job();
         let runtime = self.runtime();
-        let config_fp = crate::incremental::config_fingerprint(self);
+        let packs = options.lint.as_deref().unwrap_or_default();
+        let config_fp = crate::incremental::config_fingerprint(self, options);
         let rules_fp = packs
             .iter()
             .map(|p| p.fingerprint())
@@ -740,7 +752,7 @@ impl WapTool {
         // file up front (its value stage needs them all) and the per-file
         // tasks below reuse those, otherwise each task parses its own
         let parsed_here: Vec<Option<Program>>;
-        let programs: &[Option<Program>] = if artifacts.programs.is_empty() && self.config.values {
+        let programs: &[Option<Program>] = if artifacts.programs.is_empty() && options.values {
             let t = Instant::now();
             parsed_here = runtime.run(sources.len(), |i| parse(&sources[i].1).ok());
             // billed to the CFG phase, like the per-file parses it replaces
@@ -759,7 +771,7 @@ impl WapTool {
         let computed_values: ValuesOutcome;
         let values_facts: Option<&HashMap<String, wap_cfg::FileValues>> = match &artifacts.values {
             Some(outcome) => Some(&outcome.by_file),
-            None if self.config.values => {
+            None if options.values => {
                 let inputs: Vec<(&str, &Program)> = sources
                     .iter()
                     .zip(programs)
@@ -1085,7 +1097,7 @@ pub(crate) fn refine_with_values(
 }
 
 /// Clears validation symptoms the CFG dominator analysis cannot prove to
-/// guard this candidate's sink (`guard_attributes` mode). Symptoms the
+/// guard this candidate's sink ([`ScanOptions::guards`] mode). Symptoms the
 /// guard analysis *does* prove — a dominating `is_numeric`, a cast on a
 /// tainted carrier — survive, so the predictor sees only validations
 /// that actually protect the sink.

@@ -6,6 +6,7 @@ use crate::watch::{WatchConfig, Watcher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use wap_core::cli::positive_arg;
 
 /// Help text for `wap watch`.
 pub const WATCH_USAGE: &str = "\
@@ -74,19 +75,16 @@ pub fn parse_watch_args<I: IntoIterator<Item = String>>(
             "--help" | "-h" => help = true,
             "--full" => config.full = true,
             "--lint" => config.lint = true,
-            "--poll-ms" => config.poll = Duration::from_millis(ms_value(&mut it, "--poll-ms")?),
+            "--poll-ms" => {
+                config.poll =
+                    Duration::from_millis(positive_arg(&mut it, "--poll-ms", "milliseconds")?)
+            }
             "--debounce-ms" => {
-                config.debounce = Duration::from_millis(ms_value(&mut it, "--debounce-ms")?)
+                config.debounce =
+                    Duration::from_millis(positive_arg(&mut it, "--debounce-ms", "milliseconds")?)
             }
             "--jobs" | "-j" => {
-                let v = it.next().ok_or("--jobs needs a thread count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a number, got {v}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                config.jobs = Some(n);
+                config.jobs = Some(positive_arg(&mut it, "--jobs", "a thread count")?)
             }
             "--cache" => {
                 if config.cache_dir.is_none() {
@@ -110,14 +108,6 @@ pub fn parse_watch_args<I: IntoIterator<Item = String>>(
     Ok((config, help))
 }
 
-fn ms_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, String> {
-    let v = it.next().ok_or(format!("{flag} needs milliseconds"))?;
-    v.parse::<u64>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("{flag} needs a positive number, got {v}"))
-}
-
 /// Parses `wap lsp` arguments.
 ///
 /// # Errors
@@ -134,14 +124,7 @@ pub fn parse_lsp_args<I: IntoIterator<Item = String>>(
             "--help" | "-h" => help = true,
             "--lint" => config.lint = true,
             "--jobs" | "-j" => {
-                let v = it.next().ok_or("--jobs needs a thread count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a number, got {v}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                config.jobs = Some(n);
+                config.jobs = Some(positive_arg(&mut it, "--jobs", "a thread count")?)
             }
             "--cache" => {
                 if config.cache_dir.is_none() {
@@ -152,14 +135,7 @@ pub fn parse_lsp_args<I: IntoIterator<Item = String>>(
                 let d = it.next().ok_or("--cache-dir needs a directory")?;
                 config.cache_dir = Some(PathBuf::from(d));
             }
-            "--queue" => {
-                let v = it.next().ok_or("--queue needs a capacity")?;
-                config.queue_capacity = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--queue needs a positive number, got {v}"))?;
-            }
+            "--queue" => config.queue_capacity = positive_arg(&mut it, "--queue", "a capacity")?,
             other => return Err(format!("unknown flag {other}")),
         }
     }

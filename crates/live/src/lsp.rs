@@ -103,9 +103,8 @@ impl LspServer {
         };
         let queue: JobQueue<AnalyzeRequest, Published> = JobQueue::new(self.config.queue_capacity);
         let metrics = LiveMetrics::new();
-        let lint = self.config.lint;
         let code = std::thread::scope(|s| {
-            s.spawn(|| executor_loop(&tool, &queue, &metrics, lint));
+            s.spawn(|| executor_loop(&tool, &queue, &metrics));
             let mut session = Session {
                 queue: &queue,
                 overlay: SourceOverlay::new(),
@@ -130,7 +129,6 @@ fn executor_loop(
     tool: &WapTool,
     queue: &JobQueue<AnalyzeRequest, Published>,
     metrics: &LiveMetrics,
-    lint: bool,
 ) {
     while let Some(task) = queue.next_task() {
         let req = &task.payload;
@@ -138,8 +136,7 @@ fn executor_loop(
         let mut report = {
             let job = tool.obs().job();
             let _live = job.span(Phase::Live);
-            let packs = lint.then_some(&tool.config().rule_packs[..]);
-            tool.scan(&req.sources, packs)
+            tool.scan(&req.sources, &tool.config().scan)
                 .expect("builtin and weapon-declared lint rules always compile")
         };
         report.duration = Duration::ZERO;

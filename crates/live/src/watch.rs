@@ -163,12 +163,8 @@ impl Watcher {
         let mut report = {
             let job = self.tool.obs().job();
             let _live = job.span(Phase::Live);
-            let packs = self
-                .config
-                .lint
-                .then_some(&self.tool.config().rule_packs[..]);
             self.tool
-                .scan(&sources, packs)
+                .scan(&sources, &self.tool.config().scan)
                 .expect("builtin and weapon-declared lint rules always compile")
         };
         report.duration = Duration::ZERO; // timing-free: deltas must not depend on wall-clock

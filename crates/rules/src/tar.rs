@@ -1,10 +1,11 @@
-//! Minimal ustar reader for pack tarballs: enough to list regular-file
-//! entries and read their contents from an uncompressed POSIX/GNU tar
-//! stream. Mirrors the subset wap-serve's uploader writes: 512-byte
-//! blocks, `name` + `prefix` joined, octal sizes, typeflag `'0'`/NUL for
-//! regular files; other entry types are skipped.
+//! Minimal ustar reading and writing — the workspace's one tar codec,
+//! behind both pack tarballs and `wap serve` uploads. Only the subset
+//! those need is implemented: 512-byte blocks, `name` + `prefix` joined,
+//! octal sizes, typeflag `'0'`/NUL for regular files; other entry types
+//! (directories, symlinks, devices, pax extensions) are skipped.
 
-const BLOCK: usize = 512;
+/// The ustar block size: headers and padded contents are multiples of it.
+pub const BLOCK: usize = 512;
 
 /// One regular-file entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,18 +41,19 @@ pub fn entries(bytes: &[u8]) -> Result<Vec<Entry>, String> {
             .ok_or_else(|| format!("bad size field in entry '{path}'"))?;
         let typeflag = header[156];
         off += BLOCK;
-        let data_len = size as usize;
-        if off + data_len > bytes.len() {
-            return Err(format!("truncated entry '{path}'"));
-        }
+        let end = usize::try_from(size)
+            .ok()
+            .and_then(|n| off.checked_add(n))
+            .filter(|&end| end <= bytes.len())
+            .ok_or_else(|| format!("truncated entry '{path}'"))?;
         if typeflag == b'0' || typeflag == 0 {
             check_path(&path)?;
             out.push(Entry {
                 path,
-                data: bytes[off..off + data_len].to_vec(),
+                data: bytes[off..end].to_vec(),
             });
         }
-        off += data_len.div_ceil(BLOCK) * BLOCK;
+        off = end.div_ceil(BLOCK) * BLOCK;
     }
     Ok(out)
 }
@@ -79,14 +81,21 @@ fn check_path(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a tar stream from `(path, contents)` pairs — test/tooling
-/// helper matching what [`entries`] reads.
+/// Builds a plain ustar stream from `(path, contents)` pairs, matching
+/// what [`entries`] reads; used by tests and by clients that upload
+/// in-memory trees.
+///
+/// # Panics
+///
+/// Panics on a path longer than 99 bytes: the writer never splits names
+/// into `prefix`, and silently truncating one would archive another file.
 pub fn build(files: &[(&str, &[u8])]) -> Vec<u8> {
     let mut out = Vec::new();
     for (path, data) in files {
         let mut header = [0u8; BLOCK];
         let name = path.as_bytes();
-        header[..name.len().min(100)].copy_from_slice(&name[..name.len().min(100)]);
+        assert!(name.len() < 100, "tar writer: name too long: {path}");
+        header[..name.len()].copy_from_slice(name);
         header[100..108].copy_from_slice(b"0000644\0");
         header[108..116].copy_from_slice(b"0000000\0");
         header[116..124].copy_from_slice(b"0000000\0");
@@ -131,6 +140,12 @@ mod tests {
         assert!(entries(&evil).unwrap_err().contains("traversal"));
         let tar = build(&[("a", b"data")]);
         assert!(entries(&tar[..513]).unwrap_err().contains("truncated"));
+    }
+
+    #[test]
+    #[should_panic(expected = "name too long")]
+    fn writer_rejects_names_it_cannot_store() {
+        build(&[(&"d/".repeat(50), b"x")]);
     }
 
     #[test]

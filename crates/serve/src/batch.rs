@@ -23,13 +23,14 @@
 use crate::http::Request;
 use crate::metrics::Metrics;
 use crate::queue::{JobStatus, ScanRequest, SubmitError};
-use crate::{scan_format, tar, Shared};
+use crate::{scan_format, scan_options, tar, Shared};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use wap_core::cli::FailOn;
+use wap_core::ScanOptions;
 use wap_json::quote;
 
 /// How long a batch waits for room in a full queue before reporting the
@@ -47,33 +48,15 @@ struct BatchApp {
 pub(crate) fn handle_batch(shared: &Shared, req: &Request, stream: &TcpStream) {
     let format = match scan_format(req) {
         Ok(f) => f,
-        Err(err) => {
-            Metrics::inc(&shared.metrics.bad_requests);
-            let _ = crate::http::write_response(
-                stream,
-                err.http_status(),
-                "text/plain; charset=utf-8",
-                format!("{err}\n").as_bytes(),
-                &[],
-            );
-            return;
-        }
+        Err(err) => return refuse(shared, stream, err.http_status(), &err.to_string()),
     };
-    let lint = matches!(req.query_param("lint"), Some("1" | "true"));
-    let values = matches!(req.query_param("values"), Some("1" | "true"));
+    let options = match scan_options(shared, req) {
+        Ok(o) => o,
+        Err(msg) => return refuse(shared, stream, 400, &msg),
+    };
     let apps = match gather_apps(&req.body) {
         Ok(a) => a,
-        Err(msg) => {
-            Metrics::inc(&shared.metrics.bad_requests);
-            let _ = crate::http::write_response(
-                stream,
-                422,
-                "text/plain; charset=utf-8",
-                format!("bad batch: {msg}\n").as_bytes(),
-                &[],
-            );
-            return;
-        }
+        Err(msg) => return refuse(shared, stream, 422, &format!("bad batch: {msg}")),
     };
     Metrics::inc(&shared.metrics.batch_requests);
 
@@ -88,11 +71,24 @@ pub(crate) fn handle_batch(shared: &Shared, req: &Request, stream: &TcpStream) {
         return;
     }
     for app in apps {
-        let line = run_app(shared, app, format, lint, values);
+        let line = run_app(shared, app, format, &options);
         if w.write_all(line.as_bytes()).is_err() || w.flush().is_err() {
             return; // client went away; remaining apps are skipped
         }
     }
+}
+
+/// Answers a batch that cannot start: `status` with `msg` as plain text,
+/// counted as a bad request.
+fn refuse(shared: &Shared, stream: &TcpStream, status: u16, msg: &str) {
+    Metrics::inc(&shared.metrics.bad_requests);
+    let _ = crate::http::write_response(
+        stream,
+        status,
+        "text/plain; charset=utf-8",
+        format!("{msg}\n").as_bytes(),
+        &[],
+    );
 }
 
 /// Runs one app through the shared queue and renders its NDJSON line.
@@ -100,8 +96,7 @@ fn run_app(
     shared: &Shared,
     app: BatchApp,
     format: wap_report::Format,
-    lint: bool,
-    values: bool,
+    options: &ScanOptions,
 ) -> String {
     if app.sources.is_empty() {
         return format!(
@@ -114,9 +109,7 @@ fn run_app(
         ScanRequest {
             sources: app.sources,
             format,
-            lint,
-            packs: Vec::new(),
-            values,
+            options: options.clone(),
             fail_on: FailOn::None,
         },
         Instant::now() + FULL_RETRY_LIMIT,

@@ -4,6 +4,7 @@ use crate::{ServeConfig, Server};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use wap_core::cli::positive_arg;
 
 /// Help text for `wap serve`.
 pub const SERVE_USAGE: &str = "\
@@ -58,14 +59,7 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
             "--help" | "-h" => help = true,
             "--addr" => config.addr = it.next().ok_or("--addr needs HOST:PORT")?,
             "--jobs" | "-j" => {
-                let v = it.next().ok_or("--jobs needs a thread count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a number, got {v}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                config.jobs = Some(n);
+                config.jobs = Some(positive_arg(&mut it, "--jobs", "a thread count")?)
             }
             "--cache-dir" => {
                 let d = it.next().ok_or("--cache-dir needs a directory")?;
@@ -93,22 +87,8 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
                 let u = it.next().ok_or("--advertise needs this replica's URL")?;
                 config.advertise = Some(u);
             }
-            "--queue" => {
-                let v = it.next().ok_or("--queue needs a capacity")?;
-                config.queue_capacity = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--queue needs a positive number, got {v}"))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a count")?;
-                config.workers = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--workers needs a positive number, got {v}"))?;
-            }
+            "--queue" => config.queue_capacity = positive_arg(&mut it, "--queue", "a capacity")?,
+            "--workers" => config.workers = positive_arg(&mut it, "--workers", "a count")?,
             "--rules-dir" => {
                 let d = it.next().ok_or("--rules-dir needs a directory")?;
                 config.rules_dir = Some(PathBuf::from(d));

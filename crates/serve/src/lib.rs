@@ -13,7 +13,7 @@
 //! | Endpoint | Behavior |
 //! |---|---|
 //! | `POST /v1/scan` | Scan a server-local path (`?path=`) or an uploaded ustar archive (request body). Renders text/JSON/NDJSON/SARIF per `?format=` or `Accept`. `?async=1` returns `202` + job id immediately. `?lint=1` appends the CFG lint pass; `?rules=pack[@version],…` joins installed rule packs into it (implies lint; unknown packs answer `400`); `?fail_on=none|fpp|vuln|lint` answers `422` when the policy fails the report (default `none`: always `200`). With `--peers`, scans whose content key another replica owns are answered `307` ([`routing`]). |
-//! | `POST /v1/batch` | Scan many apps in one request (tar grouped by top-level dir, or a manifest of server paths), streaming one NDJSON line per app ([`batch`]). |
+//! | `POST /v1/batch` | Scan many apps in one request (tar grouped by top-level dir, or a manifest of server paths), streaming one NDJSON line per app ([`batch`]). Takes `?format=`, `?lint=`, `?rules=` and `?values=` as `/v1/scan` does. |
 //! | `GET /v1/rules` | List the rule packs installed under the server's pack store (`--rules-dir`): name, version, fingerprint, rule count. |
 //! | `GET/PUT/HEAD /v1/cache/{key}` | The peer-served cache: fetch, push, or probe one framed entry — what `--cache-peer` on another replica talks to. |
 //! | `GET /v1/jobs/{id}` | Poll an async job: small JSON while queued/running, the rendered report once done. |
@@ -52,7 +52,7 @@ use std::time::Duration;
 use wap_cache::{valid_key, CacheStore, RemoteBackend};
 use wap_catalog::VulnClass;
 use wap_core::cli::FailOn;
-use wap_core::{Runtime, ToolConfig, WapError, WapTool};
+use wap_core::{Runtime, ScanOptions, ToolConfig, WapError, WapTool};
 use wap_report::Format;
 
 /// How long [`ServerHandle::shutdown`]'s loopback wake connection may
@@ -114,13 +114,9 @@ impl Default for ServeConfig {
 
 /// State shared by the accept loop, connection handlers, and executors.
 pub(crate) struct Shared {
+    /// The one resident tool; each request picks its own
+    /// [`ScanOptions`], and the cache keys keep their results apart.
     pub(crate) tool: WapTool,
-    /// Twin of `tool` with the interprocedural value analysis on,
-    /// serving `?values=1` scans. Same cache store (the config
-    /// fingerprint keeps the key spaces disjoint), same trained
-    /// committee (memoized per process), so the second resident tool
-    /// costs one catalog build.
-    pub(crate) tool_values: WapTool,
     pub(crate) classes: Vec<VulnClass>,
     pub(crate) queue: JobQueue,
     pub(crate) metrics: Metrics,
@@ -202,14 +198,7 @@ impl Server {
         // every concurrent scan gets an equal slice of the job budget, so
         // `workers` simultaneous scans never oversubscribe it
         let per_scan = Runtime::from_config(config.jobs).partition(workers);
-        let tool_config = ToolConfig::builder().jobs(per_scan.jobs()).build();
-        let mut tool = WapTool::new(tool_config);
-        let mut tool_values = WapTool::new(
-            ToolConfig::builder()
-                .jobs(per_scan.jobs())
-                .values(true)
-                .build(),
-        );
+        let mut tool = WapTool::new(ToolConfig::builder().jobs(per_scan.jobs()).build());
         // the cache is composed here, not via ToolConfig: the local tier
         // is the configured dir (or process memory), and --cache-peer
         // stacks a remote read-through/write-back tier on top
@@ -225,14 +214,12 @@ impl Server {
             }
             None => store,
         };
-        tool.set_cache_store(store.clone());
-        tool_values.set_cache_store(store);
+        tool.set_cache_store(store);
         let classes: Vec<VulnClass> = tool.catalog().classes().cloned().collect();
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 tool,
-                tool_values,
                 classes,
                 queue: JobQueue::new(config.queue_capacity),
                 metrics: Metrics::default(),
@@ -346,13 +333,9 @@ fn executor_loop(shared: &Shared) {
         shared.metrics.record_queue_wait(task.submitted.elapsed());
         let scan = &task.payload;
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let tool = if scan.values {
-                &shared.tool_values
-            } else {
-                &shared.tool
-            };
-            let report = tool
-                .scan(&scan.sources, scan.lint.then_some(&scan.packs[..]))
+            let report = shared
+                .tool
+                .scan(&scan.sources, &scan.options)
                 .expect("pack rules are validated when the pack is parsed");
             let body = scan.format.render(&report, &shared.classes);
             let failing = scan.fail_on.exit_code(&report) != 0;
@@ -564,25 +547,18 @@ fn handle_scan(shared: &Shared, req: &http::Request) -> RouteResponse {
             }
         }
     }
-    let mut packs = Vec::new();
-    if let Some(refs) = req.query_param("rules") {
-        for reference in refs.split(',').filter(|r| !r.is_empty()) {
-            match shared.rules.resolve(reference) {
-                Ok(pack) => packs.push(pack),
-                Err(e) => {
-                    Metrics::inc(&shared.metrics.bad_requests);
-                    return (
-                        400,
-                        "text/plain; charset=utf-8",
-                        format!("unknown rule pack {reference}: {e}\n").into_bytes(),
-                        vec![],
-                    );
-                }
-            }
+    let options = match scan_options(shared, req) {
+        Ok(o) => o,
+        Err(msg) => {
+            Metrics::inc(&shared.metrics.bad_requests);
+            return (
+                400,
+                "text/plain; charset=utf-8",
+                format!("{msg}\n").into_bytes(),
+                vec![],
+            );
         }
-    }
-    let lint = matches!(req.query_param("lint"), Some("1" | "true")) || !packs.is_empty();
-    let values = matches!(req.query_param("values"), Some("1" | "true"));
+    };
     let fail_on = match req.query_param("fail_on") {
         // the server's default stays "never fail the response" so
         // existing clients keep their unconditional 200s
@@ -603,9 +579,7 @@ fn handle_scan(shared: &Shared, req: &http::Request) -> RouteResponse {
     let id = match shared.queue.submit(ScanRequest {
         sources,
         format,
-        lint,
-        packs,
-        values,
+        options,
         fail_on,
     }) {
         Ok(id) => id,
@@ -743,6 +717,38 @@ pub(crate) fn scan_format(req: &http::Request) -> Result<Format, WapError> {
         }
     }
     Ok(Format::Json)
+}
+
+/// The per-scan options a request asks for, shared by `/v1/scan` and
+/// `/v1/batch`: `?rules=pack[@version],…` joins installed packs into the
+/// lint pass (and implies it), `?lint=1` runs the pass, `?values=1` turns
+/// on the value analysis. Guard refinement stays off, as in the CLI's
+/// default.
+///
+/// # Errors
+///
+/// Returns the `400` message for a pack the server's store cannot
+/// resolve.
+pub(crate) fn scan_options(shared: &Shared, req: &http::Request) -> Result<ScanOptions, String> {
+    let mut packs = Vec::new();
+    for reference in req
+        .query_param("rules")
+        .unwrap_or_default()
+        .split(',')
+        .filter(|r| !r.is_empty())
+    {
+        let pack = shared
+            .rules
+            .resolve(reference)
+            .map_err(|e| format!("unknown rule pack {reference}: {e}"))?;
+        packs.push(pack);
+    }
+    let lint = matches!(req.query_param("lint"), Some("1" | "true")) || !packs.is_empty();
+    Ok(ScanOptions {
+        guards: false,
+        values: matches!(req.query_param("values"), Some("1" | "true")),
+        lint: lint.then_some(packs),
+    })
 }
 
 /// Gathers the sources to scan: an uploaded ustar body when present,
@@ -1033,6 +1039,78 @@ mod tests {
         // only GET is served on the inventory
         let (status, _) = post("/v1/rules".to_string());
         assert_eq!(status, 405);
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `/v1/batch` reads its options through the same `scan_options` as
+    /// `/v1/scan`: every app's batch report equals its single
+    /// `?rules=wordpress` scan, and an unknown pack is refused with `400`
+    /// before the stream starts.
+    #[test]
+    fn batch_honours_rules_like_single_scans() {
+        let dir =
+            std::env::temp_dir().join(format!("wap-serve-batch-rules-{}", std::process::id()));
+        let packs_dir = dir.join("packs");
+        wap_rules::Store::new(&packs_dir)
+            .install_pack(&wap_rules::RulePack::wordpress())
+            .unwrap();
+        let apps = [
+            (
+                "plugin",
+                "<?php\n$id = $_GET['id'];\n$wpdb->query(\"SELECT * FROM t WHERE id = $id\");\n",
+            ),
+            ("theme", "<?php\nextract($_POST);\necho $_GET['t'];\n"),
+        ];
+        let members: Vec<(String, String)> = apps
+            .iter()
+            .map(|(app, src)| (format!("{app}/index.php"), src.to_string()))
+            .collect();
+        let (handle, join) = boot(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            rules_dir: Some(packs_dir),
+            ..ServeConfig::default()
+        });
+        let post = |target: &str, body: &[u8]| {
+            let mut raw = format!(
+                "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            raw.extend_from_slice(body);
+            exchange_bytes(handle.addr(), &raw)
+        };
+
+        let (status, head, body) = post(
+            "/v1/batch?format=json&rules=wordpress",
+            &tar::build(&members),
+        );
+        assert_eq!(status, 200, "{head}");
+        let text = String::from_utf8(body).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), members.len(), "{text}");
+        for (line, member) in lines.iter().zip(&members) {
+            let (status, _, want) = post(
+                "/v1/scan?format=json&rules=wordpress",
+                &tar::build(std::slice::from_ref(member)),
+            );
+            assert_eq!(status, 200);
+            let want = String::from_utf8(want).unwrap();
+            assert!(want.contains("WAP-WP-"), "the pack must fire: {want}");
+            let got = wap_json::Value::parse(line).unwrap();
+            assert_eq!(
+                got.get("report").and_then(wap_json::Value::as_str),
+                Some(want.as_str()),
+                "batch report for {} differs from its ?rules= scan",
+                member.0
+            );
+        }
+
+        let (status, _, body) = post("/v1/batch?rules=no-such-pack", &tar::build(&members));
+        assert_eq!(status, 400);
+        assert!(String::from_utf8_lossy(&body).contains("unknown rule pack"));
         handle.shutdown();
         join.join().unwrap().unwrap();
         std::fs::remove_dir_all(&dir).ok();

@@ -21,14 +21,9 @@ pub struct ScanRequest {
     pub sources: Vec<(String, String)>,
     /// Render format for the finished report.
     pub format: Format,
-    /// Run the CFG lint pass after analysis (`?lint=1`).
-    pub lint: bool,
-    /// Rule packs joined into the lint pass (`?rules=`), resolved by the
-    /// HTTP layer against the server's pack store. Non-empty packs imply
-    /// the lint pass.
-    pub packs: Vec<wap_rules::RulePack>,
-    /// Run the interprocedural value analysis (`?values=1`).
-    pub values: bool,
+    /// What the scan computes (`?lint=`, `?rules=`, `?values=`), with
+    /// rule packs already resolved against the server's pack store.
+    pub options: wap_core::ScanOptions,
     /// Exit-code policy (`?fail_on=`); a failing report is answered with
     /// HTTP 422 instead of 200.
     pub fail_on: FailOn,
@@ -63,9 +58,7 @@ mod tests {
         ScanRequest {
             sources: vec![(format!("f{n}.php"), "<?php echo 1;\n".to_string())],
             format: Format::Json,
-            lint: false,
-            packs: Vec::new(),
-            values: false,
+            options: wap_core::ScanOptions::default(),
             fail_on: FailOn::None,
         }
     }

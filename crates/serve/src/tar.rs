@@ -1,13 +1,7 @@
-//! Minimal ustar reading and writing.
-//!
-//! `POST /v1/scan` accepts an uploaded tarball of PHP sources; this module
-//! extracts regular `.php` members into `(name, contents)` pairs. Only the
-//! subset of ustar the service needs is implemented: regular files, names
-//! split across the `name` and `prefix` fields, octal sizes, 512-byte
-//! blocks. Anything else (symlinks, devices, pax extensions) is skipped.
-//! The writer exists for tests and clients; it emits plain ustar.
-
-const BLOCK: usize = 512;
+//! Tar uploads: `POST /v1/scan` and `/v1/batch` accept a ustar archive of
+//! PHP sources. The codec is [`wap_rules::tar`]; this module is the
+//! service's view of it — regular `.php` members as `(name, contents)`
+//! pairs.
 
 /// Extracts the `.php` regular files from a ustar archive.
 ///
@@ -21,112 +15,38 @@ const BLOCK: usize = 512;
 /// unsafe member paths.
 pub fn extract_php_sources(data: &[u8]) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
-    let mut offset = 0usize;
-    while offset + BLOCK <= data.len() {
-        let header = &data[offset..offset + BLOCK];
-        if header.iter().all(|&b| b == 0) {
-            break; // end-of-archive marker
+    for entry in wap_rules::tar::entries(data)? {
+        let name = match entry.path.strip_prefix("./") {
+            Some(rest) => rest.to_string(),
+            None => entry.path,
+        };
+        if name.ends_with(".php") {
+            let contents =
+                String::from_utf8(entry.data).map_err(|_| format!("member {name} is not UTF-8"))?;
+            out.push((name, contents));
         }
-        let name = header_name(header)?;
-        let size = octal_field(&header[124..136])
-            .ok_or_else(|| format!("bad size field for member {name}"))?;
-        let typeflag = header[156];
-        offset += BLOCK;
-        let end = offset
-            .checked_add(size)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| format!("member {name} is truncated"))?;
-        if typeflag == b'0' || typeflag == 0 {
-            check_member_path(&name)?;
-            if name.ends_with(".php") {
-                let contents = std::str::from_utf8(&data[offset..end])
-                    .map_err(|_| format!("member {name} is not UTF-8"))?
-                    .to_string();
-                out.push((name, contents));
-            }
-        }
-        offset = end.div_ceil(BLOCK) * BLOCK;
     }
     Ok(out)
 }
 
-/// Reassembles a member name from the ustar `prefix` and `name` fields and
-/// strips a leading `./`.
-fn header_name(header: &[u8]) -> Result<String, String> {
-    let name = cstr_field(&header[0..100]);
-    let prefix = cstr_field(&header[345..500]);
-    let full = if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}/{name}")
-    };
-    let full = full.strip_prefix("./").unwrap_or(&full).to_string();
-    if full.is_empty() {
-        return Err("tar member with empty name".to_string());
-    }
-    Ok(full)
-}
-
-/// Rejects member paths that escape the archive root.
-fn check_member_path(name: &str) -> Result<(), String> {
-    if name.starts_with('/') {
-        return Err(format!("absolute member path {name}"));
-    }
-    if name.split('/').any(|c| c == "..") {
-        return Err(format!("member path {name} contains .."));
-    }
-    Ok(())
-}
-
-/// A NUL-terminated string field.
-fn cstr_field(field: &[u8]) -> &str {
-    let end = field.iter().position(|&b| b == 0).unwrap_or(field.len());
-    std::str::from_utf8(&field[..end]).unwrap_or("").trim()
-}
-
-/// Parses an octal size field (NUL/space padded).
-fn octal_field(field: &[u8]) -> Option<usize> {
-    let s = cstr_field(field);
-    if s.is_empty() {
-        return Some(0);
-    }
-    usize::from_str_radix(s, 8).ok()
-}
-
 /// Builds a ustar archive of the given `(name, contents)` members.
 /// Used by tests and by clients that upload in-memory trees.
+///
+/// # Panics
+///
+/// Panics on a member name longer than 99 bytes ([`wap_rules::tar::build`]).
 pub fn build(members: &[(String, String)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (name, contents) in members {
-        let mut header = [0u8; BLOCK];
-        let name_bytes = name.as_bytes();
-        assert!(name_bytes.len() < 100, "tar writer: name too long: {name}");
-        header[..name_bytes.len()].copy_from_slice(name_bytes);
-        header[100..108].copy_from_slice(b"0000644\0"); // mode
-        header[108..116].copy_from_slice(b"0000000\0"); // uid
-        header[116..124].copy_from_slice(b"0000000\0"); // gid
-        let size = format!("{:011o}\0", contents.len());
-        header[124..136].copy_from_slice(size.as_bytes());
-        header[136..148].copy_from_slice(b"00000000000\0"); // mtime
-        header[148..156].copy_from_slice(b"        "); // checksum placeholder
-        header[156] = b'0'; // regular file
-        header[257..263].copy_from_slice(b"ustar\0");
-        header[263..265].copy_from_slice(b"00");
-        let checksum: u32 = header.iter().map(|&b| b as u32).sum();
-        let checksum = format!("{checksum:06o}\0 ");
-        header[148..156].copy_from_slice(checksum.as_bytes());
-        out.extend_from_slice(&header);
-        out.extend_from_slice(contents.as_bytes());
-        let pad = contents.len().div_ceil(BLOCK) * BLOCK - contents.len();
-        out.extend(std::iter::repeat(0u8).take(pad));
-    }
-    out.extend(std::iter::repeat(0u8).take(2 * BLOCK)); // end-of-archive
-    out
+    let files: Vec<(&str, &[u8])> = members
+        .iter()
+        .map(|(name, contents)| (name.as_str(), contents.as_bytes()))
+        .collect();
+    wap_rules::tar::build(&files)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wap_rules::tar::BLOCK;
 
     fn members(v: &[(&str, &str)]) -> Vec<(String, String)> {
         v.iter()

@@ -73,9 +73,9 @@ tar --format=ustar -C "$WORK/pack" -cf "$WORK/acme-pack.tar" pack.json
     | grep -q "installed wordpress@1.0.0 (3 rules" || fail "starter install failed"
 
 LISTED="$("$BIN" rules list --rules-dir "$RULES_DIR")"
-grep -q "acme@1.0.0 rules=1 fingerprint=" <<< "$LISTED" \
+grep -q "acme@1.0.0 rules=1 kinds=call_with_arg fingerprint=" <<< "$LISTED" \
     || fail "list missing acme: $LISTED"
-grep -q "wordpress@1.0.0 rules=3 fingerprint=" <<< "$LISTED" \
+grep -q "wordpress@1.0.0 rules=3 kinds=call_with_arg,pattern fingerprint=" <<< "$LISTED" \
     || fail "list missing wordpress: $LISTED"
 echo "rules-smoke: install + list OK"
 

@@ -65,7 +65,7 @@ pub use wap_serve as serve;
 pub use wap_taint as taint;
 
 pub use wap_catalog::{Catalog, EntryPoint, SubModule, VulnClass, WeaponConfig};
-pub use wap_core::{AppReport, Finding, ToolConfig, WapTool, Weapon};
+pub use wap_core::{AppReport, Finding, ScanOptions, ToolConfig, WapTool, Weapon};
 pub use wap_fixer::{Corrector, FixResult};
 pub use wap_interp::{confirm, Confirmation, Request};
 pub use wap_mining::{FalsePositivePredictor, PredictorGeneration};

@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 
 use wap::cache::ENTRY_FORMAT_VERSION;
-use wap::core::{AppReport, ToolConfig, WapTool};
+use wap::core::{AppReport, ScanOptions, ToolConfig, WapTool};
 use wap::php::Blake2s;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -326,7 +326,11 @@ fn no_pack_lint_runs_are_byte_identical_across_jobs_and_cache() {
         }
         let tool = WapTool::new(builder.build());
         let report = if explicit_empty {
-            tool.scan(&files, Some(&[])).unwrap()
+            let options = ScanOptions {
+                lint: Some(Vec::new()),
+                ..ScanOptions::default()
+            };
+            tool.scan(&files, &options).unwrap()
         } else {
             let mut report = tool.analyze_sources(&files);
             tool.apply_lint(&mut report, &files);

@@ -4,7 +4,7 @@
 //! serial walk byte for byte.
 
 use wap::core::cli::render_json;
-use wap::core::{AppReport, Format, ToolConfig, WapTool};
+use wap::core::{AppReport, Format, ScanOptions, ToolConfig, WapTool};
 use wap::corpus::generate_webapp;
 use wap::corpus::specs::vulnerable_webapps;
 
@@ -593,7 +593,9 @@ fn scan_equals_analyze_then_lint_for_every_mode() {
                     let mut separate = tool.analyze_sources(sources);
                     tool.apply_lint(&mut separate, sources);
                     assert!(separate.lint_ran && !separate.lint.is_empty());
-                    let scanned = tool.scan(sources, Some(&packs)).expect("rules compile");
+                    let scanned = tool
+                        .scan(sources, &tool.config().scan)
+                        .expect("rules compile");
                     assert_eq!(
                         scan_fingerprint(separate, &classes),
                         scan_fingerprint(scanned, &classes),
@@ -622,7 +624,12 @@ fn scan_without_lint_equals_analyze_sources() {
                     .build(),
             );
             let classes: Vec<_> = tool.catalog().classes().cloned().collect();
-            let scanned = tool.scan(sources, None).expect("no rules to compile");
+            let options = ScanOptions {
+                guards,
+                values,
+                lint: None,
+            };
+            let scanned = tool.scan(sources, &options).expect("no rules to compile");
             assert!(!scanned.lint_ran);
             assert_eq!(
                 scan_fingerprint(tool.analyze_sources(sources), &classes),
@@ -656,7 +663,12 @@ fn scan_lint_skips_files_that_fail_to_parse() {
                 .values(values)
                 .build(),
         );
-        let scanned = tool.scan(&sources, Some(&[])).expect("rules compile");
+        let options = ScanOptions {
+            guards,
+            values,
+            lint: Some(Vec::new()),
+        };
+        let scanned = tool.scan(&sources, &options).expect("rules compile");
         let mut separate = tool.analyze_sources(&sources);
         tool.apply_lint(&mut separate, &sources);
         for report in [&scanned, &separate] {
@@ -669,5 +681,73 @@ fn scan_lint_skips_files_that_fail_to_parse() {
             assert!(!report.lint.is_empty(), "ok.php must be linted");
         }
         assert_eq!(lint_fingerprint(&scanned), lint_fingerprint(&separate));
+    }
+}
+
+/// One resident tool serves every option mix: interleaved scans under
+/// plain, guards, values, guards+values and lint+wordpress options, twice
+/// through on one in-memory cache, each render byte-identical (JSON and
+/// SARIF) to a dedicated tool built with those options as its defaults.
+#[test]
+fn one_tool_serves_every_scan_option_mix_byte_identically() {
+    let mixes = [
+        ScanOptions::default(),
+        ScanOptions {
+            guards: true,
+            ..ScanOptions::default()
+        },
+        ScanOptions {
+            values: true,
+            ..ScanOptions::default()
+        },
+        ScanOptions {
+            guards: true,
+            values: true,
+            lint: None,
+        },
+        ScanOptions {
+            lint: Some(vec![wap::rules::RulePack::wordpress()]),
+            ..ScanOptions::default()
+        },
+    ];
+    let render = |report: &AppReport, classes: &[wap::catalog::VulnClass]| {
+        [Format::Json, Format::Sarif].map(|f| f.render(report, classes))
+    };
+    for sources in &scan_equivalence_inputs() {
+        let wanted: Vec<[String; 2]> = mixes
+            .iter()
+            .map(|options| {
+                let mut builder = ToolConfig::builder()
+                    .jobs(2)
+                    .guard_attributes(options.guards)
+                    .values(options.values);
+                if let Some(packs) = &options.lint {
+                    builder = builder.rule_packs(packs.clone());
+                }
+                let dedicated = WapTool::new(builder.build());
+                assert_eq!(&dedicated.config().scan, options);
+                let classes: Vec<_> = dedicated.catalog().classes().cloned().collect();
+                let report = dedicated
+                    .scan(sources, &dedicated.config().scan)
+                    .expect("rules compile");
+                render(&report, &classes)
+            })
+            .collect();
+        assert_ne!(wanted[0], wanted[4], "the lint pass must show in the bytes");
+
+        let mut shared = WapTool::new(ToolConfig::builder().jobs(2).build());
+        shared.enable_memory_cache();
+        let classes: Vec<_> = shared.catalog().classes().cloned().collect();
+        for round in ["cold", "warm"] {
+            for (mix, (options, want)) in mixes.iter().zip(&wanted).enumerate() {
+                let report = shared.scan(sources, options).expect("rules compile");
+                assert_eq!(
+                    &render(&report, &classes),
+                    want,
+                    "{round} scan under mix {mix} of {} differs from a dedicated tool",
+                    sources[0].0
+                );
+            }
+        }
     }
 }

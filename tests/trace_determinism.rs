@@ -166,7 +166,7 @@ fn uncached_scan_derives_each_file_once() {
                 .build(),
         );
         let report = tool
-            .scan(&sources, Some(&tool.config().rule_packs))
+            .scan(&sources, &tool.config().scan)
             .expect("rules compile");
         assert!(report.lint_ran && report.values_ran);
         assert_eq!(report.parse_errors.len(), 1, "only broken.php fails");
