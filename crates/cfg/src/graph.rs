@@ -201,7 +201,9 @@ impl FileCfgs {
     /// `vars`. Empty when the span is not found or nothing dominates it.
     pub fn dominating_guards(&self, span: Span, vars: &[Symbol]) -> Vec<crate::guard::GuardFact> {
         match self.locate(span) {
-            Some((c, b, i)) => crate::guard::GuardAnalysis::new(&self.cfgs[c]).guards_at(b, i, vars),
+            Some((c, b, i)) => {
+                crate::guard::GuardAnalysis::new(&self.cfgs[c]).guards_at(b, i, vars)
+            }
             None => Vec::new(),
         }
     }
@@ -1185,12 +1187,14 @@ mod tests {
 
     #[test]
     fn and_combines_or_complements() {
-        let (t, _) =
-            cond_guards(&parse_cond("<?php if (is_int($a) && is_numeric($b)) { echo 1; }"));
+        let (t, _) = cond_guards(&parse_cond(
+            "<?php if (is_int($a) && is_numeric($b)) { echo 1; }",
+        ));
         assert_eq!(t.len(), 2);
 
-        let (t, f) =
-            cond_guards(&parse_cond("<?php if (!is_int($a) || !is_numeric($b)) { exit; }"));
+        let (t, f) = cond_guards(&parse_cond(
+            "<?php if (!is_int($a) || !is_numeric($b)) { exit; }",
+        ));
         assert!(t.is_empty());
         assert_eq!(f.len(), 2, "both complements hold on the false edge");
     }

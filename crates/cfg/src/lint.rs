@@ -135,8 +135,7 @@ pub fn builtin_rules() -> Vec<LintRule> {
         },
         LintRule {
             id: RULE_UNGUARDED_SINK.to_string(),
-            summary: "sink call not dominated by any validation guard on its arguments"
-                .to_string(),
+            summary: "sink call not dominated by any validation guard on its arguments".to_string(),
             severity: Severity::Warning,
             pack: None,
         },
@@ -171,13 +170,8 @@ pub fn normalize_rule_id(id: &str) -> String {
 /// findings from several passes can restore the invariant.
 pub fn sort_findings(findings: &mut [LintFinding]) {
     findings.sort_by(|a, b| {
-        (&a.file, a.line, a.span, &a.rule_id, &a.message).cmp(&(
-            &b.file,
-            b.line,
-            b.span,
-            &b.rule_id,
-            &b.message,
-        ))
+        (&a.file, a.line, a.span, &a.rule_id, &a.message)
+            .cmp(&(&b.file, b.line, b.span, &b.rule_id, &b.message))
     });
 }
 
@@ -199,7 +193,10 @@ mod tests {
     fn rule_ids_are_normalized() {
         assert_eq!(normalize_rule_id("wap-x"), "WAP-X");
         assert_eq!(normalize_rule_id("my rule"), "WAP-MY-RULE");
-        assert_eq!(normalize_rule_id("  wp_unprepared_query "), "WAP-WP-UNPREPARED-QUERY");
+        assert_eq!(
+            normalize_rule_id("  wp_unprepared_query "),
+            "WAP-WP-UNPREPARED-QUERY"
+        );
     }
 
     #[test]

@@ -131,7 +131,13 @@ impl ReachingDefs {
     /// Definitions of `var` that may reach the *start* of node
     /// `(block, node)` — block-entry facts replayed through the block's
     /// earlier nodes.
-    pub fn defs_reaching(&self, cfg: &Cfg, block: BlockId, node: usize, var: Symbol) -> Vec<&DefSite> {
+    pub fn defs_reaching(
+        &self,
+        cfg: &Cfg,
+        block: BlockId,
+        node: usize,
+        var: Symbol,
+    ) -> Vec<&DefSite> {
         let mut live: Vec<usize> = self
             .in_sets
             .get(block)

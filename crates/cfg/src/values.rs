@@ -123,8 +123,14 @@ impl AbstractValue {
             (Num(a), Num(b)) if a == b => Num(*a),
             (Num(_) | NumTop, Num(_) | NumTop) => NumTop,
             (
-                Strs { items: a, exact: ea },
-                Strs { items: b, exact: eb },
+                Strs {
+                    items: a,
+                    exact: ea,
+                },
+                Strs {
+                    items: b,
+                    exact: eb,
+                },
             ) => {
                 let items: BTreeSet<String> = a.union(b).cloned().collect();
                 if items.len() > MAX_VALUE_SET {
@@ -221,10 +227,7 @@ impl SinkContext {
         match v {
             AbstractValue::Num(_) | AbstractValue::NumTop => Some(SinkContext::NumericCast),
             AbstractValue::Strs { items, .. } if !items.is_empty() => {
-                if items
-                    .iter()
-                    .all(|s| s.ends_with('\'') || s.ends_with('"'))
-                {
+                if items.iter().all(|s| s.ends_with('\'') || s.ends_with('"')) {
                     Some(SinkContext::QuotedString)
                 } else {
                     Some(SinkContext::IdentifierPosition)
@@ -1011,8 +1014,7 @@ impl<'a> Interp<'a> {
             _ => {
                 // dynamic call `$f(...)`: resolve the callee's value
                 let cv = self.eval(env, callee);
-                let arg_vals: Vec<AbstractValue> =
-                    args.iter().map(|a| self.eval(env, a)).collect();
+                let arg_vals: Vec<AbstractValue> = args.iter().map(|a| self.eval(env, a)).collect();
                 return self.dispatch_dynamic(&cv, &arg_vals, span);
             }
         };
@@ -1021,12 +1023,10 @@ impl<'a> Interp<'a> {
 
         // define("NAME", value): record the constant for later Name reads
         if lower == "define" {
-            if let (Some(cname), Some(cval)) = (
-                args.first().and_then(Expr::as_str_lit),
-                arg_vals.get(1),
-            ) {
-                self.constants
-                    .insert(Symbol::intern(cname), cval.clone());
+            if let (Some(cname), Some(cval)) =
+                (args.first().and_then(Expr::as_str_lit), arg_vals.get(1))
+            {
+                self.constants.insert(Symbol::intern(cname), cval.clone());
             }
             return AbstractValue::Top;
         }
@@ -1125,9 +1125,9 @@ fn num_binop(
     f: fn(i64, i64) -> Option<i64>,
 ) -> AbstractValue {
     match (a, b) {
-        (AbstractValue::Num(x), AbstractValue::Num(y)) => {
-            f(*x, *y).map(AbstractValue::Num).unwrap_or(AbstractValue::NumTop)
-        }
+        (AbstractValue::Num(x), AbstractValue::Num(y)) => f(*x, *y)
+            .map(AbstractValue::Num)
+            .unwrap_or(AbstractValue::NumTop),
         _ => AbstractValue::NumTop,
     }
 }
@@ -1136,9 +1136,10 @@ fn num_binop(
 fn builtin_value(lower: &str, args: &[AbstractValue]) -> AbstractValue {
     match lower {
         // definitely-numeric results
-        "intval" | "floatval" | "doubleval" | "count" | "sizeof" | "strlen" | "abs"
-        | "floor" | "ceil" | "round" | "time" | "rand" | "mt_rand" | "random_int" | "ord"
-        | "crc32" => AbstractValue::NumTop,
+        "intval" | "floatval" | "doubleval" | "count" | "sizeof" | "strlen" | "abs" | "floor"
+        | "ceil" | "round" | "time" | "rand" | "mt_rand" | "random_int" | "ord" | "crc32" => {
+            AbstractValue::NumTop
+        }
         // string transforms computed on exact sets
         "dirname" | "basename" | "trim" | "rtrim" | "ltrim" | "strtolower" | "strtoupper" => {
             let Some(items) = args.first().and_then(AbstractValue::exact_strings) else {

@@ -217,7 +217,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                 );
             }
             "--fail-on" => {
-                let v = it.next().ok_or("--fail-on needs one of none|fpp|vuln|lint")?;
+                let v = it
+                    .next()
+                    .ok_or("--fail-on needs one of none|fpp|vuln|lint")?;
                 opts.fail_on = FailOn::parse(&v)
                     .ok_or_else(|| format!("unknown --fail-on policy {v} (none|fpp|vuln|lint)"))?;
             }
@@ -678,7 +680,10 @@ mod tests {
         ] {
             assert!(USAGE.contains(flag), "usage missing {flag}");
         }
-        assert!(USAGE.contains("EXIT CODES"), "usage missing exit-code table");
+        assert!(
+            USAGE.contains("EXIT CODES"),
+            "usage missing exit-code table"
+        );
     }
 
     #[test]
@@ -760,7 +765,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wap-cli-rules-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store = wap_rules::Store::new(&dir);
-        store.install_pack(&wap_rules::RulePack::wordpress()).unwrap();
+        store
+            .install_pack(&wap_rules::RulePack::wordpress())
+            .unwrap();
         let opts = CliOptions {
             paths: vec![PathBuf::from(".")],
             lint: true,

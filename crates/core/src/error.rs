@@ -131,7 +131,10 @@ mod tests {
     fn exit_codes_are_distinct_and_nonzero() {
         let errors = [
             WapError::usage("bad flag"),
-            WapError::io("/nope", std::io::Error::new(std::io::ErrorKind::NotFound, "x")),
+            WapError::io(
+                "/nope",
+                std::io::Error::new(std::io::ErrorKind::NotFound, "x"),
+            ),
             WapError::Parse {
                 file: "w.json".into(),
                 detail: "truncated".into(),

@@ -32,8 +32,8 @@
 
 pub mod cli;
 pub mod error;
-pub mod overlay;
 mod incremental;
+pub mod overlay;
 pub mod pipeline;
 pub mod report;
 pub mod weapon;

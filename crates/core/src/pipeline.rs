@@ -789,8 +789,7 @@ impl WapTool {
         // this report's taint candidates, grouped per file for the
         // tainted-sink rule; carriers also feed the `tainted` predicate
         let mut events: HashMap<&str, Vec<SinkEvent>> = HashMap::new();
-        let mut tainted_by_file: HashMap<&str, std::collections::BTreeSet<String>> =
-            HashMap::new();
+        let mut tainted_by_file: HashMap<&str, std::collections::BTreeSet<String>> = HashMap::new();
         for f in &report.findings {
             if let Some(file) = f.candidate.file.as_deref() {
                 events.entry(file).or_default().push(SinkEvent {

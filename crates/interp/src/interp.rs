@@ -481,7 +481,13 @@ impl Interp<'_> {
             } => {
                 let recv = target.root_var().map(str::to_string);
                 let argv: Vec<Value> = args.iter().map(|a| self.eval(env, a)).collect();
-                self.call_method(env, recv.as_deref(), method.as_str(), argv, expr.span.line())
+                self.call_method(
+                    env,
+                    recv.as_deref(),
+                    method.as_str(),
+                    argv,
+                    expr.span.line(),
+                )
             }
             ExprKind::StaticCall { method, args, .. } => {
                 let argv: Vec<Value> = args.iter().map(|a| self.eval(env, a)).collect();

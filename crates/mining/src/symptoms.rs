@@ -107,9 +107,7 @@ pub fn collect(
     if candidate
         .path
         .iter()
-        .any(|s| {
-            s.what.as_str().contains("concat") || s.what.as_str().contains("interpolation")
-        })
+        .any(|s| s.what.as_str().contains("concat") || s.what.as_str().contains("interpolation"))
     {
         hits.insert("concat_op");
     }

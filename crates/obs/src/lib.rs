@@ -242,7 +242,8 @@ impl Collector {
     /// duration (ties broken by file name for determinism of the *shape*
     /// of the output; the durations themselves are wall-clock).
     pub fn file_totals(&self, job: u64) -> Vec<(String, u64)> {
-        let mut by_file: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+        let mut by_file: std::collections::BTreeMap<String, u64> =
+            std::collections::BTreeMap::new();
         for r in self.records.lock().expect("obs lock").iter() {
             if let Record::Span(s) = r {
                 if s.job == job {
@@ -278,7 +279,10 @@ impl Collector {
             Record::Span(s) => (s.start_ns, s.job),
             Record::Event(e) => (e.at_ns, e.job),
         });
-        let spans = records.iter().filter(|r| matches!(r, Record::Span(_))).count();
+        let spans = records
+            .iter()
+            .filter(|r| matches!(r, Record::Span(_)))
+            .count();
         let events = records.len() - spans;
         let mut out = String::new();
         out.push_str(&format!(
@@ -648,7 +652,10 @@ mod tests {
             labelled.contains("t_seconds_bucket{phase=\"parse\",le=\"+Inf\"} 3\n"),
             "{labelled}"
         );
-        assert!(labelled.contains("t_seconds_sum{phase=\"parse\"} "), "{labelled}");
+        assert!(
+            labelled.contains("t_seconds_sum{phase=\"parse\"} "),
+            "{labelled}"
+        );
     }
 
     #[test]

@@ -75,12 +75,7 @@ impl<T> Arena<T> {
 
     /// Moves `value` into the arena and returns its id.
     pub fn alloc(&mut self, value: T) -> NodeId {
-        if self
-            .chunks
-            .last()
-            .map(|c| c.len() == CHUNK)
-            .unwrap_or(true)
-        {
+        if self.chunks.last().map(|c| c.len() == CHUNK).unwrap_or(true) {
             self.chunks.push(Vec::with_capacity(CHUNK));
         }
         self.chunks.last_mut().expect("chunk exists").push(value);

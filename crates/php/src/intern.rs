@@ -127,7 +127,11 @@ fn publish(id: u32, e: Entry) {
     }
     // SAFETY: single writer (intern lock held), and no reader touches slot
     // `id` until `intern` returns the id.
-    unsafe { (*chunk).slots[id as usize & (CHUNK_LEN - 1)].get().write(MaybeUninit::new(e)) }
+    unsafe {
+        (*chunk).slots[id as usize & (CHUNK_LEN - 1)]
+            .get()
+            .write(MaybeUninit::new(e))
+    }
 }
 
 struct Inner {
@@ -164,7 +168,8 @@ impl Inner {
         // SAFETY: the arena lives inside a process-lifetime static and its
         // chunk buffers are never moved or freed, so extending the borrow
         // to 'static is sound.
-        let stable: &'static str = unsafe { std::mem::transmute::<&str, &'static str>(self.arena.alloc(s)) };
+        let stable: &'static str =
+            unsafe { std::mem::transmute::<&str, &'static str>(self.arena.alloc(s)) };
         let id = self.len;
         self.len += 1;
         publish(

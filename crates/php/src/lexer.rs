@@ -353,15 +353,16 @@ impl<'s> Lexer<'s> {
 
     fn scan_single_quoted(&mut self) -> ParseResult<String> {
         self.bump(); // opening '
-        // Fast path: no escapes before the closing quote — one bulk copy of
-        // the source slice instead of a char-at-a-time rebuild.
+                     // Fast path: no escapes before the closing quote — one bulk copy of
+                     // the source slice instead of a char-at-a-time rebuild.
         let start = self.pos;
         let mut p = self.pos;
         while p < self.bytes.len() {
             match self.bytes[p] {
                 b'\'' => {
                     let out = self.src[start..p].to_string();
-                    self.line += self.bytes[start..p].iter().filter(|&&b| b == b'\n').count() as u32;
+                    self.line +=
+                        self.bytes[start..p].iter().filter(|&&b| b == b'\n').count() as u32;
                     self.pos = p + 1; // past the closing quote
                     return Ok(out);
                 }

@@ -24,8 +24,8 @@ pub use delta::{compute_delta, render_delta_ndjson, FindingsDelta, WATCH_SCHEMA}
 pub use json::{render_json, render_ndjson};
 pub use model::{AppReport, FileStat, Finding, ScanStats};
 pub use sarif::render_sarif;
-pub use wap_cfg::{LintFinding, LintRule, Severity as LintSeverity};
 pub use text::{render_stats, render_text};
+pub use wap_cfg::{LintFinding, LintRule, Severity as LintSeverity};
 pub use wap_obs::Phase;
 
 use wap_catalog::VulnClass;

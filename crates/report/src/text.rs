@@ -115,11 +115,7 @@ pub fn render_stats(report: &AppReport, k: usize) -> String {
             );
         }
         if report.stats.allocations > 0 {
-            let _ = writeln!(
-                out,
-                "  allocations   {:>10}",
-                report.stats.allocations
-            );
+            let _ = writeln!(out, "  allocations   {:>10}", report.stats.allocations);
         }
     }
     let slow = report.stats.slowest_files(k);

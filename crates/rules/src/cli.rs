@@ -130,10 +130,7 @@ mod tests {
     use std::fs;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wap-rules-cli-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("wap-rules-cli-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -154,7 +151,10 @@ mod tests {
             "{listed}"
         );
         let removed = rules(&["remove", "wordpress", "--rules-dir", &dir_arg]).unwrap();
-        assert!(removed.contains("removed 1 version of wordpress"), "{removed}");
+        assert!(
+            removed.contains("removed 1 version of wordpress"),
+            "{removed}"
+        );
         let empty = rules(&["list", "--rules-dir", &dir_arg]).unwrap();
         assert!(empty.contains("no rule packs installed"), "{empty}");
         let _ = fs::remove_dir_all(&dir);
@@ -165,7 +165,9 @@ mod tests {
         let dir = temp_dir("errors");
         let dir_arg = dir.to_string_lossy().to_string();
         assert!(rules(&[]).unwrap_err().contains("usage: wap rules"));
-        assert!(rules(&["frobnicate"]).unwrap_err().contains("unknown command"));
+        assert!(rules(&["frobnicate"])
+            .unwrap_err()
+            .contains("unknown command"));
         assert!(rules(&["remove", "nope", "--rules-dir", &dir_arg])
             .unwrap_err()
             .contains("not installed"));

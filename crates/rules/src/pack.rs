@@ -67,9 +67,7 @@ impl RulePack {
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_')
         {
-            return Err(format!(
-                "pack name '{name}' must be a lowercase identifier"
-            ));
+            return Err(format!("pack name '{name}' must be a lowercase identifier"));
         }
         let version = req_str(value, "version")?;
         if version.is_empty() || version_key(&version).is_none() {
@@ -430,18 +428,22 @@ rules:
 
     #[test]
     fn schema_mismatch_and_bad_fields_are_rejected() {
-        assert!(RulePack::parse(r#"{"schema": 2, "name": "x", "version": "1", "rules": []}"#)
-            .unwrap_err()
-            .contains("schema"));
+        assert!(
+            RulePack::parse(r#"{"schema": 2, "name": "x", "version": "1", "rules": []}"#)
+                .unwrap_err()
+                .contains("schema")
+        );
         assert!(RulePack::parse(r#"{"schema": 1, "name": "Bad Name", "version": "1", "rules": [{"id": "a", "kind": "forbid_call", "function": "f"}]}"#)
             .unwrap_err()
             .contains("lowercase"));
         assert!(RulePack::parse(r#"{"schema": 1, "name": "x", "version": "one", "rules": [{"id": "a", "kind": "forbid_call", "function": "f"}]}"#)
             .unwrap_err()
             .contains("numeric"));
-        assert!(RulePack::parse(r#"{"schema": 1, "name": "x", "version": "1.0", "rules": []}"#)
-            .unwrap_err()
-            .contains("no rules"));
+        assert!(
+            RulePack::parse(r#"{"schema": 1, "name": "x", "version": "1.0", "rules": []}"#)
+                .unwrap_err()
+                .contains("no rules")
+        );
         assert!(RulePack::parse(r#"{"schema": 1, "name": "x", "version": "1.0", "rules": [{"id": "a", "kind": "frob"}]}"#)
             .unwrap_err()
             .contains("unknown rule kind"));

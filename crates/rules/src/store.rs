@@ -61,8 +61,7 @@ impl Store {
     /// manifest, or fails validation.
     pub fn install(&self, source: &Path) -> Result<InstalledPack, String> {
         let manifest = read_manifest(source)?;
-        let pack = RulePack::parse(&manifest)
-            .map_err(|e| format!("{}: {e}", source.display()))?;
+        let pack = RulePack::parse(&manifest).map_err(|e| format!("{}: {e}", source.display()))?;
         self.install_pack(&pack)
     }
 
@@ -217,8 +216,7 @@ impl Store {
 
 fn load_dir(dir: &Path) -> Result<RulePack, String> {
     let path = dir.join("pack.json");
-    let text =
-        fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let text = fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     RulePack::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
@@ -274,10 +272,7 @@ mod tests {
     use super::*;
 
     fn temp_store(tag: &str) -> Store {
-        let dir = std::env::temp_dir().join(format!(
-            "wap-rules-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("wap-rules-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         Store::new(dir)
     }

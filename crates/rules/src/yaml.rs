@@ -104,7 +104,10 @@ fn parse_list(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Value, S
             while *pos < lines.len() && lines[*pos].indent == item_indent {
                 let text = lines[*pos].text.clone();
                 let Some((key, val)) = split_key(&text) else {
-                    return Err(format!("line {}: expected 'key:' entry", lines[*pos].number));
+                    return Err(format!(
+                        "line {}: expected 'key:' entry",
+                        lines[*pos].number
+                    ));
                 };
                 entries.push(entry_value(lines, pos, item_indent, key, val)?);
             }
@@ -122,7 +125,10 @@ fn parse_map(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Value, St
     while *pos < lines.len() && lines[*pos].indent == indent {
         let text = lines[*pos].text.clone();
         let Some((key, val)) = split_key(&text) else {
-            return Err(format!("line {}: expected 'key:' entry", lines[*pos].number));
+            return Err(format!(
+                "line {}: expected 'key:' entry",
+                lines[*pos].number
+            ));
         };
         entries.push(entry_value(lines, pos, indent, key, val)?);
     }
@@ -168,9 +174,7 @@ fn split_key(text: &str) -> Option<(String, Option<String>)> {
             None => {
                 if *c == '\'' || *c == '"' {
                     quote = Some(*c);
-                } else if *c == ':'
-                    && (i + 1 == chars.len() || chars[i + 1].is_whitespace())
-                {
+                } else if *c == ':' && (i + 1 == chars.len() || chars[i + 1].is_whitespace()) {
                     let key = unquote(chars[..i].iter().collect::<String>().trim());
                     let rest: String = chars[i + 1..].iter().collect();
                     let rest = rest.trim();
@@ -276,7 +280,8 @@ rules:
 
     #[test]
     fn scalar_types_and_comments() {
-        let v = parse("a: true\nb: 2.5\nc: null\nd: plain text\n# comment\ne: 'q # not comment'\n").unwrap();
+        let v = parse("a: true\nb: 2.5\nc: null\nd: plain text\n# comment\ne: 'q # not comment'\n")
+            .unwrap();
         assert_eq!(v.get("a"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().as_f64(), Some(2.5));
         assert_eq!(v.get("c"), Some(&Value::Null));

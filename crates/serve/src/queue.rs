@@ -10,9 +10,9 @@
 //! `429` + `Retry-After`) and a draining one with
 //! [`SubmitError::Draining`] (`503`).
 
-pub use wap_runtime::queue::SubmitError;
 use wap_core::cli::FailOn;
 use wap_report::Format;
+pub use wap_runtime::queue::SubmitError;
 
 /// One scan waiting for (or owned by) an executor.
 #[derive(Debug)]

@@ -272,7 +272,10 @@ mod tests {
         }
         assert!(t.info().unwrap().steps.len() <= MAX_STEPS);
         // earliest step (the entry point) is preserved
-        assert!(t.info().unwrap().steps[0].what.as_str().contains("entry point"));
+        assert!(t.info().unwrap().steps[0]
+            .what
+            .as_str()
+            .contains("entry point"));
     }
 
     #[test]

@@ -84,7 +84,10 @@ fn lint_sarif_matches_the_committed_golden_byte_for_byte() {
         "\"charOffset\"",
         "\"charLength\"",
     ] {
-        assert!(rendered.contains(needle), "SARIF missing {needle}:\n{rendered}");
+        assert!(
+            rendered.contains(needle),
+            "SARIF missing {needle}:\n{rendered}"
+        );
     }
     let golden = std::fs::read_to_string(&golden_path)
         .expect("tests/golden/lint_app.sarif missing — regenerate with WAP_BLESS=1");
@@ -159,7 +162,10 @@ fn wordpress_pack_sarif_matches_the_committed_golden_byte_for_byte() {
         "\"pack\": \"wordpress\"",
         "\"level\": \"error\"",
     ] {
-        assert!(rendered.contains(needle), "SARIF missing {needle}:\n{rendered}");
+        assert!(
+            rendered.contains(needle),
+            "SARIF missing {needle}:\n{rendered}"
+        );
     }
     // a missing golden is written on the first run; afterwards it is
     // compared byte for byte like the lint_app golden
@@ -178,7 +184,10 @@ fn wordpress_pack_sarif_matches_the_committed_golden_byte_for_byte() {
 /// pack and the interprocedural value analysis on, so the pack's
 /// `tainted($X)` / `const($X)` predicate constraints have taint facts
 /// and proven values to consume.
-fn render_with_generic_php(jobs: usize, cache_dir: Option<&Path>) -> (String, wap::core::AppReport) {
+fn render_with_generic_php(
+    jobs: usize,
+    cache_dir: Option<&Path>,
+) -> (String, wap::core::AppReport) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let name = "tests/fixtures/generic_app/app.php";
     let sources = vec![(
@@ -248,8 +257,7 @@ fn generic_php_pack_sarif_matches_the_committed_golden_byte_for_byte() {
     }
     let _ = std::fs::remove_dir_all(&cache);
 
-    let golden_path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/generic_app.sarif");
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/generic_app.sarif");
     let expected = format!("{rendered}\n");
     if std::env::var_os("WAP_BLESS").is_some() {
         std::fs::write(&golden_path, &expected).expect("bless golden");
@@ -261,7 +269,10 @@ fn generic_php_pack_sarif_matches_the_committed_golden_byte_for_byte() {
         "\"pack\": \"generic-php\"",
         "\"dynamicEdgesResolved\"",
     ] {
-        assert!(rendered.contains(needle), "SARIF missing {needle}:\n{rendered}");
+        assert!(
+            rendered.contains(needle),
+            "SARIF missing {needle}:\n{rendered}"
+        );
     }
     // a missing golden is written on the first run; afterwards it is
     // compared byte for byte

@@ -201,13 +201,9 @@ fn lint_findings_are_bit_identical_across_jobs_trace_and_cache() {
 
     for jobs in [1usize, 2, 8] {
         for trace in [false, true] {
-            let tool =
-                WapTool::new(ToolConfig::builder().jobs(jobs).trace(trace).build());
+            let tool = WapTool::new(ToolConfig::builder().jobs(jobs).trace(trace).build());
             let (got, _) = run(&tool);
-            assert_eq!(
-                baseline, got,
-                "lint diverged at jobs={jobs} trace={trace}"
-            );
+            assert_eq!(baseline, got, "lint diverged at jobs={jobs} trace={trace}");
         }
     }
 
@@ -243,7 +239,11 @@ fn cfg_cache_invalidates_on_catalog_fingerprint_change() {
 
     let lint_with = |weapons: bool| {
         let builder = ToolConfig::builder().jobs(2).cache_dir(&dir);
-        let builder = if weapons { builder } else { builder.no_weapons() };
+        let builder = if weapons {
+            builder
+        } else {
+            builder.no_weapons()
+        };
         let tool = WapTool::new(builder.build());
         let mut report = tool.analyze_sources(&sources);
         tool.apply_lint(&mut report, &sources);
@@ -289,12 +289,7 @@ fn guard_attributes_are_deterministic_and_off_by_default() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let serial = WapTool::new(
-        ToolConfig::builder()
-            .jobs(1)
-            .guard_attributes(true)
-            .build(),
-    );
+    let serial = WapTool::new(ToolConfig::builder().jobs(1).guard_attributes(true).build());
     let baseline = fingerprint(&serial.analyze_sources(&sources));
 
     for jobs in [2usize, 8] {
@@ -385,7 +380,10 @@ fn value_analysis_is_deterministic_and_off_by_default() {
                     baseline_report.dynamic_edges_resolved,
                     baseline_report.dynamic_edges_unresolved
                 ),
-                (report.dynamic_edges_resolved, report.dynamic_edges_unresolved),
+                (
+                    report.dynamic_edges_resolved,
+                    report.dynamic_edges_unresolved
+                ),
                 "edge counters diverged at jobs={jobs} trace={trace}"
             );
         }
@@ -406,7 +404,10 @@ fn value_analysis_is_deterministic_and_off_by_default() {
     // hitting the same cache directory must not reuse values-mode entries
     let plain = WapTool::new(ToolConfig::builder().jobs(2).cache_dir(&dir).build());
     let (default_fp, default_report) = run(&plain);
-    assert!(!default_report.values_ran, "--values must stay off by default");
+    assert!(
+        !default_report.values_ran,
+        "--values must stay off by default"
+    );
     let cacheless = WapTool::new(ToolConfig::builder().jobs(1).build());
     assert_eq!(
         default_fp,
@@ -441,7 +442,11 @@ fn value_analysis_resolves_dynamic_includes_into_taint_findings() {
     assert!(
         without.findings.is_empty(),
         "without --values the dynamic include must stay opaque, got {:?}",
-        without.findings.iter().map(|f| &f.candidate.sink).collect::<Vec<_>>()
+        without
+            .findings
+            .iter()
+            .map(|f| &f.candidate.sink)
+            .collect::<Vec<_>>()
     );
 
     let tool = WapTool::new(ToolConfig::builder().jobs(1).values(true).build());
@@ -490,7 +495,11 @@ fn unresolved_include_lint_is_suppressed_when_values_resolves_the_path() {
     ];
     let notes = |values: bool| {
         let builder = ToolConfig::builder().jobs(1);
-        let builder = if values { builder.values(true) } else { builder };
+        let builder = if values {
+            builder.values(true)
+        } else {
+            builder
+        };
         let tool = WapTool::new(builder.build());
         let mut report = tool.analyze_sources(&sources);
         tool.apply_lint(&mut report, &sources);
@@ -540,7 +549,10 @@ fn scan_equivalence_inputs() -> Vec<Vec<(String, String)>> {
         (name.to_string(), src)
     })
     .collect();
-    let spec = vulnerable_webapps().into_iter().next().expect("a corpus spec");
+    let spec = vulnerable_webapps()
+        .into_iter()
+        .next()
+        .expect("a corpus spec");
     let app = generate_webapp(&spec, 0.1, 4242);
     let corpus = app
         .files

@@ -9,8 +9,8 @@
 //! self-comparing (no golden), so it runs unchanged in the air-gapped
 //! harness and in CI.
 
-use wap::corpus::specs::vulnerable_webapps;
 use wap::corpus::generate_webapp;
+use wap::corpus::specs::vulnerable_webapps;
 use wap::php::{content_hash, parse, print_program};
 use wap_runtime::rng::StdRng;
 
@@ -26,7 +26,10 @@ fn parse_print_roundtrip_converges_across_seeds() {
                     .unwrap_or_else(|e| panic!("seed {seed} {}: parse failed: {e}", file.name));
                 let printed = print_program(&program);
                 let reparsed = parse(&printed).unwrap_or_else(|e| {
-                    panic!("seed {seed} {}: printed form does not re-parse: {e}", file.name)
+                    panic!(
+                        "seed {seed} {}: printed form does not re-parse: {e}",
+                        file.name
+                    )
                 });
                 let reprinted = print_program(&reparsed);
                 assert_eq!(
@@ -44,7 +47,10 @@ fn parse_print_roundtrip_converges_across_seeds() {
             }
         }
     }
-    assert!(files >= 40, "corpus too small to be meaningful: {files} files");
+    assert!(
+        files >= 40,
+        "corpus too small to be meaningful: {files} files"
+    );
 }
 
 /// An identifier with seed-dependent case per letter, so symbols whose
@@ -100,7 +106,10 @@ fn interned_identifiers_roundtrip_byte_for_byte_across_seeds() {
         let reparsed =
             parse(&printed).unwrap_or_else(|e| panic!("seed {seed}: reparse failed: {e}"));
         let reprinted = print_program(&reparsed);
-        assert_eq!(printed, reprinted, "seed {seed}: printing is not a fixed point");
+        assert_eq!(
+            printed, reprinted,
+            "seed {seed}: printing is not a fixed point"
+        );
         assert_eq!(content_hash(&printed), content_hash(&reprinted));
     }
 }

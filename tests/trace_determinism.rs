@@ -128,8 +128,14 @@ fn trace_ndjson_is_schema_versioned_and_well_formed() {
 fn scan_stats_per_file_breakdown_follows_the_trace_flag() {
     let sources = corpus_sources();
     let untraced = WapTool::new(ToolConfig::builder().jobs(2).build()).analyze_sources(&sources);
-    assert!(untraced.stats.files.is_empty(), "untraced run has file stats");
-    assert!(untraced.stats.total_ns() > 0, "phase totals always measured");
+    assert!(
+        untraced.stats.files.is_empty(),
+        "untraced run has file stats"
+    );
+    assert!(
+        untraced.stats.total_ns() > 0,
+        "phase totals always measured"
+    );
 
     let traced =
         WapTool::new(ToolConfig::builder().jobs(2).trace(true).build()).analyze_sources(&sources);
