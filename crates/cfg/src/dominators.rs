@@ -22,9 +22,6 @@ pub struct Dominators {
     /// `idom[b]` — immediate dominator of `b`; `idom[entry] == entry`;
     /// `None` for unreachable blocks.
     idom: Vec<Option<BlockId>>,
-    /// Position of each block in the reverse postorder, used by the
-    /// intersection walk. `usize::MAX` for unreachable blocks.
-    rpo_pos: Vec<usize>,
 }
 
 impl Dominators {
@@ -32,6 +29,8 @@ impl Dominators {
     pub fn compute(cfg: &Cfg) -> Dominators {
         let n = cfg.blocks.len();
         let rpo = reverse_postorder(cfg);
+        // position of each block in the reverse postorder, used by the
+        // intersection walk; `usize::MAX` for unreachable blocks
         let mut rpo_pos = vec![usize::MAX; n];
         for (pos, &b) in rpo.iter().enumerate() {
             rpo_pos[b] = pos;
@@ -63,7 +62,7 @@ impl Dominators {
             }
         }
 
-        Dominators { idom, rpo_pos }
+        Dominators { idom }
     }
 
     /// Immediate dominator of `b` (`b` itself for the entry, `None` for

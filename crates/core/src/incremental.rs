@@ -200,11 +200,14 @@ pub(crate) fn decode_lint(bytes: &[u8]) -> Result<Vec<wap_cfg::LintFinding>, Cod
 /// file (`--values`). Keyed by the file content, the scan-set membership
 /// digest (include resolution only targets scan-set file names, so adding
 /// or removing a file can change what resolves), the file's dependency
-/// digest (value summaries derive from the same declaration closure the
-/// taint digest covers), and the configuration.
+/// digest (the summaries of the functions it calls by name), and the
+/// configuration. A dynamic call reads the summary of a target chosen by
+/// *value*, which no key field covers: the payload carries the digest of
+/// those targets' closure instead ([`DeclIndex::calls_digest`]), checked
+/// on every hit.
 fn values_key(file: &str, hash: &str, scanset: &str, deps_digest: &str, config_fp: &str) -> String {
     fields_hash([
-        "values",
+        "values-v2",
         CACHE_SCHEMA,
         TOOL_VERSION_KEY,
         file,
@@ -215,8 +218,9 @@ fn values_key(file: &str, hash: &str, scanset: &str, deps_digest: &str, config_f
     ])
 }
 
-fn encode_values(r: &wap_cfg::ValueResolution) -> Vec<u8> {
+fn encode_values(calls_digest: &str, r: &wap_cfg::ValueResolution) -> Vec<u8> {
     let mut w = Writer::new();
+    w.str(calls_digest);
     let targets_seq = |w: &mut Writer, map: &std::collections::BTreeMap<u32, Vec<String>>| {
         w.seq(map.len());
         for (off, targets) in map {
@@ -241,8 +245,10 @@ fn encode_values(r: &wap_cfg::ValueResolution) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_values(bytes: &[u8]) -> Result<wap_cfg::ValueResolution, CodecError> {
+/// Decodes a `values` entry into its calls digest and resolution facts.
+fn decode_values(bytes: &[u8]) -> Result<(String, wap_cfg::ValueResolution), CodecError> {
     let mut r = Reader::new(bytes);
+    let calls_digest = r.str()?;
     let targets_map = |r: &mut Reader| -> Result<_, CodecError> {
         let n = r.seq()?;
         let mut map = std::collections::BTreeMap::new();
@@ -282,7 +288,7 @@ fn decode_values(bytes: &[u8]) -> Result<wap_cfg::ValueResolution, CodecError> {
             r.remaining()
         )));
     }
-    Ok(out)
+    Ok((calls_digest, out))
 }
 
 /// One declared function in a decl entry.
@@ -390,6 +396,94 @@ struct FileMeta {
     decls: Vec<DeclRecord>,
     /// Lowercased call targets referenced anywhere in the file, sorted.
     refs: Vec<String>,
+}
+
+impl FileMeta {
+    /// The names a taint pass over this file starts from: its own
+    /// declarations and its call targets. Their [`DeclIndex::closure`] is
+    /// every declaration the pass can walk.
+    fn seeds(&self) -> impl Iterator<Item = &str> {
+        let decls = self.decls.iter().map(|d| d.name.as_str());
+        decls.chain(self.refs.iter().map(String::as_str))
+    }
+}
+
+/// The canonical declaration of one function name: the first in (file
+/// order, declaration order) — the owner rule the engine's function
+/// index applies.
+struct Canon<'a> {
+    /// Index of the declaring file in the run's `files`.
+    owner: usize,
+    fp: &'a str,
+    refs: &'a [String],
+}
+
+/// Every function name's canonical declaration, and the one definition of
+/// what a file's analysis can see: its dependency closure. The closure
+/// keys the pass and findings entries (through the dependency digests)
+/// and picks the files a pass miss parses, so what a warm run re-reads
+/// and what invalidates it can never disagree.
+struct DeclIndex<'a> {
+    files: &'a [FileMeta],
+    canon: HashMap<&'a str, Canon<'a>>,
+}
+
+impl<'a> DeclIndex<'a> {
+    fn new(files: &'a [FileMeta]) -> Self {
+        let mut canon: HashMap<&str, Canon<'_>> = HashMap::new();
+        for (owner, f) in files.iter().enumerate() {
+            for d in &f.decls {
+                canon.entry(d.name.as_str()).or_insert(Canon {
+                    owner,
+                    fp: d.fp.as_str(),
+                    refs: &d.refs,
+                });
+            }
+        }
+        DeclIndex { files, canon }
+    }
+
+    /// `seeds` plus every name reachable from them through the call
+    /// targets of canonical declarations, sorted. Undeclared names stay
+    /// in the set but lead nowhere.
+    fn closure<'s>(&'s self, seeds: impl IntoIterator<Item = &'s str>) -> BTreeSet<&'s str> {
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        let mut work: Vec<&str> = seeds.into_iter().filter(|n| seen.insert(n)).collect();
+        while let Some(n) = work.pop() {
+            if let Some(c) = self.canon.get(n) {
+                for r in c.refs {
+                    if seen.insert(r.as_str()) {
+                        work.push(r.as_str());
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    /// The canonical `[name, owner, fingerprint]` rows of `names`, in
+    /// order. Undeclared names are built-ins, whose semantics are part of
+    /// the config fingerprint, so they contribute no row — and declaring
+    /// one later adds a row.
+    fn rows<'s>(&'s self, names: &'s BTreeSet<&'s str>) -> impl Iterator<Item = [&'s str; 3]> {
+        names.iter().filter_map(|n| {
+            self.canon
+                .get(n)
+                .map(|c| [*n, self.files[c.owner].name.as_str(), c.fp])
+        })
+    }
+
+    /// Digest of the closure of the dynamic-call targets the value
+    /// analysis resolved in one file: the summaries those calls read.
+    fn calls_digest(&self, r: &wap_cfg::ValueResolution) -> String {
+        let names = self.closure(r.calls.values().flatten().map(|t| lower(t)));
+        fields_hash(self.rows(&names).flatten())
+    }
+}
+
+/// The lowercased form of a function name, as declarations record it.
+fn lower(name: &str) -> &'static str {
+    Symbol::intern(name).lower().as_str()
 }
 
 fn encode_findings(digest: &str, findings: &[Option<Finding>]) -> Vec<u8> {
@@ -559,13 +653,16 @@ fn compute_value_summaries(
 
 /// Looks up every file's `values` entry, re-interprets only the misses
 /// (which needs the merged summaries, hence every decl-bearing program),
-/// and writes fresh resolution facts back.
+/// and writes fresh resolution facts back. A hit whose dynamic-call
+/// targets' declarations changed since it was written is stale, and
+/// re-interpreted like a miss.
 #[allow(clippy::too_many_arguments)]
 fn run_values_cached(
     store: &CacheStore,
     runtime: &Runtime,
     sources: &[(String, String)],
     files: &[FileMeta],
+    decls: &DeclIndex<'_>,
     programs: &mut [Option<Program>],
     deps_digests: &[String],
     config_fp: &str,
@@ -586,9 +683,13 @@ fn run_values_cached(
         .enumerate()
         .map(|(i, k)| match store.probe(k) {
             Some((p, tier)) => match decode_values(&p) {
-                Ok(r) => {
+                Ok((calls_digest, r)) if calls_digest == decls.calls_digest(&r) => {
                     obs.event_file(hit_event(tier), &files[i].name);
                     Some(r)
+                }
+                Ok(_) => {
+                    obs.event_file("cache_stale", &files[i].name);
+                    None
                 }
                 Err(_) => {
                     obs.event_file("cache_corrupt", &files[i].name);
@@ -640,7 +741,8 @@ fn run_values_cached(
         *values_ns += elapsed_ns(t);
         let t = Instant::now();
         for (&i, fv) in miss.iter().zip(computed) {
-            store.put(&keys[i], encode_values(&fv.resolution));
+            let calls_digest = decls.calls_digest(&fv.resolution);
+            store.put(&keys[i], encode_values(&calls_digest, &fv.resolution));
             state.per_file[i] = fv.resolution.clone();
             state.file_values.insert(i, fv);
         }
@@ -665,6 +767,7 @@ fn run_cached_pass(
     runtime: &Runtime,
     sources: &[(String, String)],
     files: &[FileMeta],
+    decls: &DeclIndex<'_>,
     programs: &mut [Option<Program>],
     deps_digests: &[String],
     config_fp: &str,
@@ -705,21 +808,22 @@ fn run_cached_pass(
         .collect();
     *cache_ns += elapsed_ns(t);
 
-    if cached.iter().any(|c| c.is_none()) {
-        // fresh files must be parsed; so must every decl-bearing file, so
-        // lazy foreign-function walks see exactly what a cold run sees —
-        // and, with value analysis on, every resolved include target, so
-        // inlined include execution sees the same programs a cold run does
-        let want: Vec<usize> = files
-            .iter()
-            .enumerate()
-            .filter(|(i, f)| {
-                cached[*i].is_none()
-                    || !f.decls.is_empty()
-                    || include_targets.binary_search(i).is_ok()
-            })
-            .map(|(i, _)| i)
-            .collect();
+    let fresh: Vec<usize> = (0..files.len()).filter(|&i| cached[i].is_none()).collect();
+    if !fresh.is_empty() {
+        // fresh files must be parsed; so must the canonical owner of
+        // every declaration in their dependency closure, the only foreign
+        // bodies phase A's lazy walks reach (phase B reads only merged
+        // summaries) — and, with value analysis on, every resolved
+        // include target, so inlined include execution sees the same
+        // programs a cold run does
+        let seen = decls.closure(fresh.iter().flat_map(|&i| files[i].seeds()));
+        let mut want: BTreeSet<usize> = fresh.iter().copied().collect();
+        want.extend(
+            seen.iter()
+                .filter_map(|n| decls.canon.get(n).map(|c| c.owner)),
+        );
+        want.extend(include_targets);
+        let want: Vec<usize> = want.into_iter().collect();
         ensure_parsed(
             runtime, store, sources, files, programs, &want, parse_ns, obs,
         )?;
@@ -747,6 +851,11 @@ fn run_cached_pass(
         obs,
     );
     *taint_ns += elapsed_ns(t);
+    if outcome.missing_body {
+        // the parse set above missed a body the pass needed: never
+        // store or return artifacts built on a stand-in summary
+        return None;
+    }
 
     let t = Instant::now();
     for (i, is_fresh) in outcome.fresh.iter().enumerate() {
@@ -893,58 +1002,14 @@ pub(crate) fn analyze_sources_cached(
     }
 
     // ---- per-file dependency digests ----
-    // The canonical declaration for each name is the first in (file
-    // order, declaration order) — the same owner rule the engine's
-    // function index applies. A file's pass output depends on exactly the
-    // canonical declarations reachable from its own declarations and its
-    // call targets, so its digest covers that transitive closure and
+    // A file's pass output depends on exactly the canonical declarations
+    // in its dependency closure, so its digest covers that closure and
     // nothing else: editing one function re-keys only its own file and
     // the files that can actually observe the change.
     let t = Instant::now();
-    struct Canon<'a> {
-        owner: &'a str,
-        fp: &'a str,
-        refs: &'a [String],
-    }
-    let mut canon: HashMap<&str, Canon<'_>> = HashMap::new();
-    for f in &files {
-        for d in &f.decls {
-            canon.entry(d.name.as_str()).or_insert(Canon {
-                owner: f.name.as_str(),
-                fp: d.fp.as_str(),
-                refs: &d.refs,
-            });
-        }
-    }
+    let decls = DeclIndex::new(&files);
     let deps_digests: Vec<String> = runtime.run(files.len(), |i| {
-        let f = &files[i];
-        let mut seen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        let mut work: Vec<&str> = Vec::new();
-        for d in &f.decls {
-            if seen.insert(d.name.as_str()) {
-                work.push(d.name.as_str());
-            }
-        }
-        for r in &f.refs {
-            if seen.insert(r.as_str()) {
-                work.push(r.as_str());
-            }
-        }
-        while let Some(n) = work.pop() {
-            if let Some(c) = canon.get(n) {
-                for r in c.refs {
-                    if seen.insert(r.as_str()) {
-                        work.push(r.as_str());
-                    }
-                }
-            }
-        }
-        // undeclared targets are built-ins; their semantics are part of
-        // the config fingerprint, not of any file
-        let rows = seen
-            .iter()
-            .filter_map(|n| canon.get(n).map(|c| [*n, c.owner, c.fp]));
-        fields_hash(rows.flatten())
+        fields_hash(decls.rows(&decls.closure(files[i].seeds())).flatten())
     });
     cache_ns += elapsed_ns(t);
 
@@ -961,6 +1026,7 @@ pub(crate) fn analyze_sources_cached(
             &runtime,
             sources,
             &files,
+            &decls,
             &mut programs,
             &deps_digests,
             &config_fp,
@@ -1034,26 +1100,12 @@ pub(crate) fn analyze_sources_cached(
                     }
                 }
             }
-            let mut call_seen: BTreeSet<&str> = BTreeSet::new();
-            let mut call_work: Vec<&str> = Vec::new();
-            for &fi in &visited {
-                for targets in vs.per_file[fi].calls.values() {
-                    for t in targets {
-                        if call_seen.insert(t.as_str()) {
-                            call_work.push(t.as_str());
-                        }
-                    }
-                }
-            }
-            while let Some(n) = call_work.pop() {
-                if let Some(c) = canon.get(n) {
-                    for r in c.refs {
-                        if call_seen.insert(r.as_str()) {
-                            call_work.push(r.as_str());
-                        }
-                    }
-                }
-            }
+            let call_seen = decls.closure(
+                visited
+                    .iter()
+                    .flat_map(|&fi| vs.per_file[fi].calls.values().flatten())
+                    .map(|t| lower(t)),
+            );
             let mut fields: Vec<String> = vec![deps_digests[i].clone()];
             for &fi in &visited {
                 if fi == i {
@@ -1063,13 +1115,7 @@ pub(crate) fn analyze_sources_cached(
                 fields.push(files[fi].hash.clone());
                 fields.push(deps_digests[fi].clone());
             }
-            for n in &call_seen {
-                if let Some(c) = canon.get(n) {
-                    fields.push((*n).to_string());
-                    fields.push(c.owner.to_string());
-                    fields.push(c.fp.to_string());
-                }
-            }
+            fields.extend(decls.rows(&call_seen).flatten().map(str::to_string));
             fields_hash(fields)
         });
         cache_ns += elapsed_ns(t);
@@ -1085,6 +1131,7 @@ pub(crate) fn analyze_sources_cached(
         &runtime,
         sources,
         &files,
+        &decls,
         &mut programs,
         &deps_digests,
         &config_fp,
@@ -1106,6 +1153,7 @@ pub(crate) fn analyze_sources_cached(
             &runtime,
             sources,
             &files,
+            &decls,
             &mut programs,
             &deps_digests,
             &config_fp,
@@ -1259,13 +1307,12 @@ pub(crate) fn analyze_sources_cached(
             .iter()
             .flat_map(|&gi| (groups[gi].start..groups[gi].end).map(move |k| (k, gi)))
             .collect();
-        // CFG lowering for guard refinement, one graph set per miss
-        // file — exactly the files the cold path would lower
+        // CFG lowering for guard refinement, one graph set per file whose
+        // candidates are re-voted: refinement reads no other file's graphs
         let cfgs_by_file: HashMap<usize, wap_cfg::FileCfgs> = if options.guards {
             let t = Instant::now();
-            let mut uniq = want.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
+            // groups are per file, so no file repeats
+            let uniq: Vec<usize> = miss_groups.iter().map(|&gi| groups[gi].file).collect();
             let built = runtime.map(uniq.clone(), |_, fi| {
                 let _span = obs.span_file(Phase::Cfg, &files[fi].name);
                 wap_cfg::lower_program(programs[fi].as_ref().expect("parsed for findings"))

@@ -120,7 +120,7 @@ impl Watcher {
     /// stat (editor rename-in-place) are simply absent from the snapshot
     /// and picked up next poll.
     pub fn take_snapshot(&self) -> Result<Snapshot, WapError> {
-        let files = collect_php_files(&[self.config.dir.clone()])?;
+        let files = collect_php_files(std::slice::from_ref(&self.config.dir))?;
         let mut snap = Snapshot::new();
         for f in files {
             if let Ok(meta) = std::fs::metadata(&f) {
@@ -157,7 +157,7 @@ impl Watcher {
     pub fn rescan(&mut self) -> Result<String, WapError> {
         let started = Instant::now();
         let sources = wap_core::collect_sources_with_overlay(
-            &[self.config.dir.clone()],
+            std::slice::from_ref(&self.config.dir),
             &SourceOverlay::new(),
         )?;
         let mut report = {

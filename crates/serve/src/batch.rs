@@ -181,7 +181,7 @@ fn gather_apps(body: &[u8]) -> Result<Vec<BatchApp>, String> {
 /// A 512-byte-aligned body with the ustar magic in its first header is an
 /// archive; anything else is treated as a manifest.
 fn looks_like_tar(body: &[u8]) -> bool {
-    body.len() >= 512 && body.len() % 512 == 0 && &body[257..262] == b"ustar"
+    body.len() >= 512 && body.len().is_multiple_of(512) && &body[257..262] == b"ustar"
 }
 
 /// Groups archive members into apps by their first path component. Member

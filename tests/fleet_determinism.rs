@@ -10,7 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use wap::core::cli::{self, CliOptions};
 use wap::corpus::generate_webapp;
 use wap::corpus::specs::vulnerable_webapps;
@@ -23,7 +23,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn write_corpus_app(name: &str, seed: u64, dir: &PathBuf) {
+fn write_corpus_app(name: &str, seed: u64, dir: &Path) {
     let spec = vulnerable_webapps()
         .into_iter()
         .find(|a| a.name == name)
@@ -57,7 +57,7 @@ fn exchange(addr: SocketAddr, raw: &[u8]) -> (u16, String, Vec<u8>) {
     (status, head, buf[split + 4..].to_vec())
 }
 
-fn scan_request(dir: &PathBuf, format: &str) -> Vec<u8> {
+fn scan_request(dir: &Path, format: &str) -> Vec<u8> {
     format!(
         "POST /v1/scan?path={}&format={format} HTTP/1.1\r\nHost: fleet\r\nContent-Length: 0\r\n\r\n",
         url_escape(&dir.display().to_string())
@@ -77,9 +77,9 @@ fn url_escape(s: &str) -> String {
     out
 }
 
-fn cli_output(dir: &PathBuf, format: Format) -> String {
+fn cli_output(dir: &Path, format: Format) -> String {
     let opts = CliOptions {
-        paths: vec![dir.clone()],
+        paths: vec![dir.to_path_buf()],
         format: Some(format),
         ..Default::default()
     };

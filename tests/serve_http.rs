@@ -10,7 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use wap::core::cli::{self, CliOptions};
 use wap::corpus::generate_webapp;
 use wap::corpus::specs::vulnerable_webapps;
@@ -23,7 +23,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn write_corpus_app(name: &str, seed: u64, dir: &PathBuf) {
+fn write_corpus_app(name: &str, seed: u64, dir: &Path) {
     let spec = vulnerable_webapps()
         .into_iter()
         .find(|a| a.name == name)
@@ -59,7 +59,7 @@ fn exchange(addr: SocketAddr, raw: &[u8]) -> (u16, String, Vec<u8>) {
     (status, head, buf[split + 4..].to_vec())
 }
 
-fn scan_request(dir: &PathBuf, format: &str) -> Vec<u8> {
+fn scan_request(dir: &Path, format: &str) -> Vec<u8> {
     format!(
         "POST /v1/scan?path={}&format={format} HTTP/1.1\r\nHost: e2e\r\nContent-Length: 0\r\n\r\n",
         url_escape(&dir.display().to_string())
@@ -79,9 +79,9 @@ fn url_escape(s: &str) -> String {
     out
 }
 
-fn cli_output(dir: &PathBuf, format: Format) -> String {
+fn cli_output(dir: &Path, format: Format) -> String {
     let opts = CliOptions {
-        paths: vec![dir.clone()],
+        paths: vec![dir.to_path_buf()],
         format: Some(format),
         ..Default::default()
     };
@@ -245,7 +245,7 @@ fn tar_upload_matches_path_scan_of_same_tree() {
 
     // build a tar of the same tree with the names the path scan will use,
     // so the two scans must render byte-identical reports
-    let files = cli::collect_php_files(&[dir.clone()]).unwrap();
+    let files = cli::collect_php_files(std::slice::from_ref(&dir)).unwrap();
     let members: Vec<(String, String)> = files
         .iter()
         .map(|f| {
