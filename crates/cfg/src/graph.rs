@@ -434,7 +434,7 @@ impl Lowerer {
                 value,
                 body,
                 ..
-            } => self.lower_foreach(s, array, key.as_ref(), value, body),
+            } => self.lower_foreach(s, array, key.as_deref(), value, body),
             StmtKind::Switch { subject, cases } => self.lower_switch(s, subject, cases),
             StmtKind::Try {
                 body,
@@ -887,7 +887,7 @@ fn walk_expr_shallow<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
         | ExprKind::Name(_)
         | ExprKind::StaticProp { .. }
         | ExprKind::ClassConst { .. }
-        | ExprKind::Closure { .. } => {}
+        | ExprKind::Closure(_) => {}
         ExprKind::Interp(parts) | ExprKind::Isset(parts) | ExprKind::ShellExec(parts) => {
             for p in parts {
                 walk_expr_shallow(p, f);
@@ -1180,7 +1180,7 @@ mod tests {
     fn parse_cond(src: &str) -> Expr {
         let p = parse(src).expect("parse");
         match &p.stmts[0].kind {
-            StmtKind::If { cond, .. } => cond.clone(),
+            StmtKind::If { cond, .. } => (**cond).clone(),
             other => panic!("not an if: {other:?}"),
         }
     }

@@ -943,14 +943,14 @@ impl<'a> Interp<'a> {
                 V::Top
             }
             ExprKind::List(_) => V::Top,
-            ExprKind::Closure { body, uses, .. } => {
+            ExprKind::Closure(c) => {
                 let mut inner = Env::new();
-                for (name, _) in uses {
+                for (name, _) in &c.uses {
                     if let Some(v) = env.get(name) {
                         inner.insert(*name, v.clone());
                     }
                 }
-                self.exec_block(&mut inner, body);
+                self.exec_block(&mut inner, &c.body);
                 V::Top
             }
             ExprKind::ErrorSuppress(e) | ExprKind::Clone(e) => self.eval(env, e),

@@ -35,9 +35,8 @@ use wap_php::{content_hash, parse, Blake2s, ParseError, Program, Span, Symbol};
 use wap_runtime::Runtime;
 use wap_taint::serial::write_candidate;
 use wap_taint::{
-    declared_names, dedup_and_sort, function_fingerprint, function_refs, pass_candidates,
-    referenced_names, run_pass_incremental_with_resolutions, Candidate, FileResolution,
-    PassArtifacts, PassInput,
+    dedup_and_sort, function_fingerprint, function_refs, pass_candidates, referenced_names,
+    run_pass_incremental_with_resolutions, Candidate, FileResolution, PassArtifacts, PassInput,
 };
 
 use wap_obs::{JobHandle, Phase};
@@ -943,12 +942,11 @@ pub(crate) fn analyze_sources_cached(
     for (&i, result) in miss.iter().zip(parsed_miss) {
         let info = match result {
             Ok(program) => {
-                let names = declared_names(&program);
-                let decls = names
+                let decls = program
+                    .functions()
                     .into_iter()
-                    .zip(program.functions())
-                    .map(|(n, f)| DeclRecord {
-                        name: n.as_str().to_string(),
+                    .map(|f| DeclRecord {
+                        name: f.name.lower().as_str().to_string(),
                         fp: function_fingerprint(&sources[i].1, f),
                         refs: function_refs(f)
                             .into_iter()

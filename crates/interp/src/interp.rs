@@ -624,7 +624,7 @@ impl Interp<'_> {
                 Value::Array(map)
             }
             ExprKind::List(_) => Value::Null,
-            ExprKind::Closure { .. } => Value::Null,
+            ExprKind::Closure(_) => Value::Null,
             ExprKind::ErrorSuppress(e) => self.eval(env, e),
             ExprKind::Exit(arg) => {
                 if let Some(a) = arg {

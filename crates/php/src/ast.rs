@@ -55,6 +55,11 @@ fn collect_functions<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a Function>) {
 }
 
 /// A statement with its source location.
+///
+/// Layout: every statement is as wide as the widest [`StmtKind`] variant,
+/// so the payloads of the wide, rare variants live behind a box (`If`'s
+/// condition, `Foreach`'s expressions, `For`'s expression lists). The
+/// `ast::tests::node_layout_budget` test pins `Stmt` at 112 bytes or less.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     /// The statement payload.
@@ -81,8 +86,8 @@ pub enum StmtKind {
     InlineHtml(String),
     /// `if` / `elseif` / `else` chain.
     If {
-        /// Condition of the leading `if`.
-        cond: Expr,
+        /// Condition of the leading `if` (boxed: see [`Stmt`]'s layout note).
+        cond: Box<Expr>,
         /// Then-branch body.
         then_branch: Vec<Stmt>,
         /// `elseif` arms in order.
@@ -107,24 +112,24 @@ pub enum StmtKind {
     /// C-style `for` loop.
     For {
         /// Initialization expressions.
-        init: Vec<Expr>,
+        init: Box<[Expr]>,
         /// Condition expressions (last one decides).
-        cond: Vec<Expr>,
+        cond: Box<[Expr]>,
         /// Step expressions.
-        step: Vec<Expr>,
+        step: Box<[Expr]>,
         /// Loop body.
         body: Vec<Stmt>,
     },
     /// `foreach ($array as $key => $value) body`.
     Foreach {
         /// The iterated expression.
-        array: Expr,
+        array: Box<Expr>,
         /// Optional key variable.
-        key: Option<Expr>,
+        key: Option<Box<Expr>>,
         /// Whether the value is taken by reference.
         by_ref: bool,
         /// Value variable (or list pattern).
-        value: Expr,
+        value: Box<Expr>,
         /// Loop body.
         body: Vec<Stmt>,
     },
@@ -176,46 +181,42 @@ pub enum StmtKind {
 }
 
 impl StmtKind {
-    /// All directly nested statement blocks, used by generic walkers.
-    pub fn child_blocks(&self) -> Vec<&[Stmt]> {
-        match self {
+    /// All directly nested statement blocks, in source order, used by
+    /// generic walkers. Allocation-free.
+    pub fn child_blocks(&self) -> impl Iterator<Item = &[Stmt]> {
+        let (first, elseifs, cases, catches, last) = match self {
             StmtKind::If {
                 then_branch,
                 elseifs,
                 else_branch,
                 ..
-            } => {
-                let mut v: Vec<&[Stmt]> = vec![then_branch];
-                for (_, b) in elseifs {
-                    v.push(b);
-                }
-                if let Some(e) = else_branch {
-                    v.push(e);
-                }
-                v
-            }
+            } => (
+                Some(then_branch),
+                &elseifs[..],
+                &[][..],
+                &[][..],
+                else_branch.as_ref(),
+            ),
             StmtKind::While { body, .. }
             | StmtKind::DoWhile { body, .. }
             | StmtKind::For { body, .. }
-            | StmtKind::Foreach { body, .. } => vec![body],
-            StmtKind::Switch { cases, .. } => cases.iter().map(|c| c.body.as_slice()).collect(),
-            StmtKind::Block(b) => vec![b],
+            | StmtKind::Foreach { body, .. }
+            | StmtKind::Block(body) => (Some(body), &[][..], &[][..], &[][..], None),
+            StmtKind::Switch { cases, .. } => (None, &[][..], &cases[..], &[][..], None),
             StmtKind::Try {
                 body,
                 catches,
                 finally,
-            } => {
-                let mut v: Vec<&[Stmt]> = vec![body];
-                for c in catches {
-                    v.push(&c.body);
-                }
-                if let Some(f) = finally {
-                    v.push(f);
-                }
-                v
-            }
-            _ => Vec::new(),
-        }
+            } => (Some(body), &[][..], &[][..], &catches[..], finally.as_ref()),
+            _ => (None, &[][..], &[][..], &[][..], None),
+        };
+        first
+            .into_iter()
+            .chain(elseifs.iter().map(|(_, b)| b))
+            .chain(cases.iter().map(|c| &c.body))
+            .chain(catches.iter().map(|c| &c.body))
+            .chain(last)
+            .map(Vec::as_slice)
     }
 }
 
@@ -369,6 +370,11 @@ pub enum ClassMember {
 }
 
 /// An expression with its source location.
+///
+/// Layout: like [`Stmt`], every expression is as wide as the widest
+/// [`ExprKind`] variant, so the rare anonymous function keeps its three
+/// lists behind one box. The `ast::tests::node_layout_budget` test pins
+/// `Expr` at 56 bytes or less.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
     /// The expression payload.
@@ -554,15 +560,8 @@ pub enum ExprKind {
     Array(Vec<ArrayItem>),
     /// `list($a, , $b) = ...` target.
     List(Vec<Option<Expr>>),
-    /// Anonymous function.
-    Closure {
-        /// Parameters.
-        params: Vec<Param>,
-        /// `use (...)` captures: name + by-ref flag.
-        uses: Vec<(Symbol, bool)>,
-        /// Body statements.
-        body: Vec<Stmt>,
-    },
+    /// Anonymous function (boxed: see [`Expr`]'s layout note).
+    Closure(Box<Closure>),
     /// `@expr` — error suppression.
     ErrorSuppress(Box<Expr>),
     /// `exit(expr)` / `die(expr)` — a sensitive construct for several
@@ -589,6 +588,17 @@ pub enum ExprKind {
         /// Path expression.
         path: Box<Expr>,
     },
+}
+
+/// The payload of [`ExprKind::Closure`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Closure {
+    /// Parameters.
+    pub params: Vec<Param>,
+    /// `use (...)` captures: name + by-ref flag.
+    pub uses: Vec<(Symbol, bool)>,
+    /// Body statements.
+    pub body: Vec<Stmt>,
 }
 
 /// Literal values.
@@ -872,14 +882,31 @@ mod tests {
     fn child_blocks_of_if() {
         let mk = |k| Stmt::new(k, Span::synthetic());
         let s = StmtKind::If {
-            cond: var("c"),
+            cond: Box::new(var("c")),
             then_branch: vec![mk(StmtKind::Nop)],
             elseifs: vec![(var("d"), vec![mk(StmtKind::Nop), mk(StmtKind::Nop)])],
             else_branch: Some(vec![]),
         };
-        let blocks = s.child_blocks();
+        let blocks: Vec<_> = s.child_blocks().collect();
         assert_eq!(blocks.len(), 3);
         assert_eq!(blocks[1].len(), 2);
+    }
+
+    /// Every node is as wide as its widest variant: a new inline wide
+    /// variant would silently re-inflate every statement or expression.
+    #[test]
+    fn node_layout_budget() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Stmt>() <= 112,
+            "Stmt is {} bytes",
+            size_of::<Stmt>()
+        );
+        assert!(
+            size_of::<Expr>() <= 56,
+            "Expr is {} bytes",
+            size_of::<Expr>()
+        );
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod span;
 pub mod token;
 pub mod visitor;
 
-pub use arena::{Arena, NodeId};
 pub use ast::{Expr, ExprKind, Program, Stmt, StmtKind};
 pub use error::{ParseError, ParseResult};
 pub use fingerprint::{content_hash, Blake2s};

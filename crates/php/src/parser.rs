@@ -93,12 +93,21 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
+    /// Consumes the current token and returns it. The cursor only ever
+    /// moves forward, so the token's payload is moved out rather than
+    /// cloned; only its span stays behind for [`Parser::prev_span`]. At
+    /// the final `Eof` the cursor stays put and `Eof` is returned again.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        t
+        let t = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token {
+            kind: std::mem::replace(&mut t.kind, TokenKind::Eof),
+            span: t.span,
+        }
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -126,7 +135,7 @@ impl Parser {
     }
 
     fn ident(&mut self) -> ParseResult<Symbol> {
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Ident(n) => {
                 self.bump();
                 Ok(n)
@@ -168,9 +177,11 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> ParseResult<Stmt> {
         let start = self.span();
-        let kind = match self.peek().clone() {
-            TokenKind::InlineHtml(h) => {
-                self.bump();
+        let kind = match *self.peek() {
+            TokenKind::InlineHtml(_) => {
+                let TokenKind::InlineHtml(h) = self.bump().kind else {
+                    unreachable!("peeked inline HTML")
+                };
                 StmtKind::InlineHtml(h)
             }
             TokenKind::Semi => {
@@ -307,12 +318,11 @@ impl Parser {
                 self.end_stmt()?;
                 StmtKind::StaticVars(vars)
             }
-            k @ (TokenKind::Include
+            TokenKind::Include
             | TokenKind::IncludeOnce
             | TokenKind::Require
-            | TokenKind::RequireOnce) => {
-                self.bump();
-                let kind = match k {
+            | TokenKind::RequireOnce => {
+                let kind = match self.bump().kind {
                     TokenKind::Include => IncludeKind::Include,
                     TokenKind::IncludeOnce => IncludeKind::IncludeOnce,
                     TokenKind::Require => IncludeKind::Require,
@@ -438,7 +448,7 @@ impl Parser {
         let start = self.span();
         self.expect(&TokenKind::If)?;
         self.expect(&TokenKind::LParen)?;
-        let cond = self.parse_expr()?;
+        let cond = Box::new(self.parse_expr()?);
         self.expect(&TokenKind::RParen)?;
         let (then_branch, alt) = self.parse_body(&["endif"])?;
         let mut elseifs = Vec::new();
@@ -560,35 +570,11 @@ impl Parser {
         let start = self.span();
         self.expect(&TokenKind::For)?;
         self.expect(&TokenKind::LParen)?;
-        let mut init = Vec::new();
-        if !matches!(self.peek(), TokenKind::Semi) {
-            loop {
-                init.push(self.parse_expr()?);
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let init = self.parse_for_clause(&TokenKind::Semi)?;
         self.expect(&TokenKind::Semi)?;
-        let mut cond = Vec::new();
-        if !matches!(self.peek(), TokenKind::Semi) {
-            loop {
-                cond.push(self.parse_expr()?);
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let cond = self.parse_for_clause(&TokenKind::Semi)?;
         self.expect(&TokenKind::Semi)?;
-        let mut step = Vec::new();
-        if !matches!(self.peek(), TokenKind::RParen) {
-            loop {
-                step.push(self.parse_expr()?);
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let step = self.parse_for_clause(&TokenKind::RParen)?;
         self.expect(&TokenKind::RParen)?;
         let (body, alt) = self.parse_body(&["endfor"])?;
         if let AltEnd::Keyword(_) = alt {
@@ -606,18 +592,33 @@ impl Parser {
         ))
     }
 
+    /// One comma-separated `for` header clause, possibly empty, up to (not
+    /// including) `end`.
+    fn parse_for_clause(&mut self, end: &TokenKind) -> ParseResult<Box<[Expr]>> {
+        let mut exprs = Vec::new();
+        if self.peek() != end {
+            loop {
+                exprs.push(self.parse_expr()?);
+                if !self.eat(&TokenKind::Comma) {
+                    break;
+                }
+            }
+        }
+        Ok(exprs.into_boxed_slice())
+    }
+
     fn parse_foreach(&mut self) -> ParseResult<Stmt> {
         let start = self.span();
         self.expect(&TokenKind::Foreach)?;
         self.expect(&TokenKind::LParen)?;
-        let array = self.parse_expr()?;
+        let array = Box::new(self.parse_expr()?);
         self.expect(&TokenKind::As)?;
         let mut by_ref = self.eat(&TokenKind::Amp);
-        let first = self.parse_expr()?;
+        let first = Box::new(self.parse_expr()?);
         let (key, value) = if self.eat(&TokenKind::DoubleArrow) {
             let vref = self.eat(&TokenKind::Amp);
             by_ref = vref;
-            (Some(first), self.parse_expr()?)
+            (Some(first), Box::new(self.parse_expr()?))
         } else {
             (None, first)
         };
@@ -651,7 +652,7 @@ impl Parser {
         }
         let mut cases = Vec::new();
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::Case => {
                     let cspan = self.span();
                     self.bump();
@@ -723,7 +724,7 @@ impl Parser {
             while self.eat(&TokenKind::Pipe) {
                 types.push(self.parse_class_name()?);
             }
-            let var = if let TokenKind::Variable(n) = self.peek().clone() {
+            let var = if let TokenKind::Variable(n) = *self.peek() {
                 self.bump();
                 Some(n)
             } else {
@@ -803,7 +804,7 @@ impl Parser {
                     self.peek(),
                     TokenKind::Ident(_) | TokenKind::ArrayKw | TokenKind::Backslash
                 ) {
-                    ty = Some(match self.peek().clone() {
+                    ty = Some(match *self.peek() {
                         TokenKind::ArrayKw => {
                             self.bump();
                             "array".to_string()
@@ -902,7 +903,7 @@ impl Parser {
                 _ => break,
             }
         }
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Function => {
                 let func = self.parse_function()?;
                 Ok(ClassMember::Method {
@@ -1116,7 +1117,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> ParseResult<Expr> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Bang => {
                 self.bump();
                 let e = self.parse_unary()?;
@@ -1212,7 +1213,7 @@ impl Parser {
             }
             TokenKind::New => {
                 self.bump();
-                let class = match self.peek().clone() {
+                let class = match *self.peek() {
                     TokenKind::Variable(v) => {
                         self.bump();
                         Symbol::intern(&format!("${v}"))
@@ -1239,12 +1240,11 @@ impl Parser {
                 let span = start.merge(e.span);
                 Ok(Expr::new(ExprKind::Print(Box::new(e)), span))
             }
-            k @ (TokenKind::Include
+            TokenKind::Include
             | TokenKind::IncludeOnce
             | TokenKind::Require
-            | TokenKind::RequireOnce) => {
-                self.bump();
-                let kind = match k {
+            | TokenKind::RequireOnce => {
+                let kind = match self.bump().kind {
                     TokenKind::Include => IncludeKind::Include,
                     TokenKind::IncludeOnce => IncludeKind::IncludeOnce,
                     TokenKind::Require => IncludeKind::Require,
@@ -1296,7 +1296,7 @@ impl Parser {
 
     fn parse_postfix(&mut self, mut e: Expr) -> ParseResult<Expr> {
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::LBracket => {
                     self.bump();
                     let index = if matches!(self.peek(), TokenKind::RBracket) {
@@ -1316,7 +1316,7 @@ impl Parser {
                 }
                 TokenKind::Arrow => {
                     self.bump();
-                    let name = match self.peek().clone() {
+                    let name = match *self.peek() {
                         TokenKind::Variable(v) => {
                             // dynamic property `$obj->$name`
                             self.bump();
@@ -1353,7 +1353,7 @@ impl Parser {
                         _ => return Err(self.unexpected("expected class name before `::`")),
                     };
                     self.bump();
-                    match self.peek().clone() {
+                    match *self.peek() {
                         TokenKind::Variable(v) => {
                             self.bump();
                             let span = e.span.merge(self.prev_span());
@@ -1389,7 +1389,7 @@ impl Parser {
                         | ExprKind::StaticCall { .. }
                         | ExprKind::ArrayDim { .. }
                         | ExprKind::Prop { .. }
-                        | ExprKind::Closure { .. } => {
+                        | ExprKind::Closure(_) => {
                             let args = self.parse_args()?;
                             let span = e.span.merge(self.prev_span());
                             e = Expr::new(
@@ -1457,7 +1457,7 @@ impl Parser {
 
     fn parse_primary(&mut self) -> ParseResult<Expr> {
         let start = self.span();
-        let kind = match self.peek().clone() {
+        let kind = match *self.peek() {
             TokenKind::Variable(n) => {
                 self.bump();
                 ExprKind::Var(n)
@@ -1470,22 +1470,19 @@ impl Parser {
                 self.bump();
                 ExprKind::Lit(Lit::Float(v))
             }
-            TokenKind::SingleStr(s) => {
-                self.bump();
-                ExprKind::Lit(Lit::Str(s))
-            }
-            TokenKind::TemplateStr(parts) => {
-                self.bump();
-                template_to_expr(parts, start)
-            }
-            TokenKind::ShellStr(parts) => {
-                self.bump();
-                let kind = template_to_expr(parts, start);
-                let inner = match kind {
-                    ExprKind::Interp(es) => es,
-                    lit => vec![Expr::new(lit, start)],
-                };
-                ExprKind::ShellExec(inner)
+            TokenKind::SingleStr(_) | TokenKind::TemplateStr(_) | TokenKind::ShellStr(_) => {
+                match self.bump().kind {
+                    TokenKind::SingleStr(s) => ExprKind::Lit(Lit::Str(s)),
+                    TokenKind::TemplateStr(parts) => template_to_expr(parts, start),
+                    TokenKind::ShellStr(parts) => {
+                        let inner = match template_to_expr(parts, start) {
+                            ExprKind::Interp(es) => es,
+                            lit => vec![Expr::new(lit, start)],
+                        };
+                        ExprKind::ShellExec(inner)
+                    }
+                    _ => unreachable!("peeked a string token"),
+                }
             }
             TokenKind::True => {
                 self.bump();
@@ -1610,7 +1607,7 @@ impl Parser {
                 self.expect(&TokenKind::LBrace)?;
                 let body = self.parse_stmts_until(&TokenKind::RBrace)?;
                 self.expect(&TokenKind::RBrace)?;
-                ExprKind::Closure { params, uses, body }
+                ExprKind::Closure(Box::new(Closure { params, uses, body }))
             }
             TokenKind::Amp => {
                 // stray by-ref marker in expression position (e.g. `=& new C`)
@@ -1661,11 +1658,12 @@ enum AltEnd {
 
 /// Converts lexer string parts into an expression: a plain literal when
 /// there is no interpolation, otherwise an [`ExprKind::Interp`].
-fn template_to_expr(parts: Vec<StrPart>, span: Span) -> ExprKind {
-    if parts.len() == 1 {
-        if let StrPart::Lit(s) = &parts[0] {
-            return ExprKind::Lit(Lit::Str(s.clone()));
-        }
+fn template_to_expr(mut parts: Vec<StrPart>, span: Span) -> ExprKind {
+    if let [StrPart::Lit(_)] = parts.as_slice() {
+        let Some(StrPart::Lit(s)) = parts.pop() else {
+            unreachable!("one literal part")
+        };
+        return ExprKind::Lit(Lit::Str(s));
     }
     let exprs = parts
         .into_iter()
@@ -2015,9 +2013,10 @@ mod tests {
         let ExprKind::Assign { value, .. } = e.kind else {
             panic!()
         };
-        let ExprKind::Closure { uses, params, .. } = value.kind else {
+        let ExprKind::Closure(closure) = value.kind else {
             panic!()
         };
+        let Closure { uses, params, .. } = *closure;
         assert_eq!(params.len(), 1);
         assert_eq!(uses.len(), 2);
         assert!(uses[0].1);

@@ -609,7 +609,8 @@ impl Printer {
                 }
                 self.out.push(')');
             }
-            ExprKind::Closure { params, uses, body } => {
+            ExprKind::Closure(c) => {
+                let Closure { params, uses, body } = &**c;
                 self.out.push_str("function ");
                 self.params(params);
                 if !uses.is_empty() {
@@ -773,7 +774,7 @@ fn needs_parens(e: &Expr) -> bool {
             | ExprKind::Clone(_)
             | ExprKind::IncludeExpr { .. }
             | ExprKind::New { .. }
-            | ExprKind::Closure { .. }
+            | ExprKind::Closure(_)
             | ExprKind::IncDec { .. }
             | ExprKind::ErrorSuppress(_)
     )
@@ -827,6 +828,111 @@ mod tests {
         round_trip("<?php global $db; static $n = 0; throw new E('x');");
         round_trip("<?php $r = @f(); $v = (int)$_GET['i']; $w = $x ?? 'd';");
         round_trip("<?php $obj->m(1)->n($p); K::f($q); $o = new C($r);");
+    }
+
+    /// [`round_trip`], returning the re-parsed program after checking that
+    /// parsing its print again reproduces it node for node, spans included.
+    fn reparse(src: &str) -> Program {
+        round_trip(src);
+        let printed = print_program(&parse(src).expect("parses"));
+        let p = parse(&printed).expect("reparses");
+        assert_eq!(p, parse(&print_program(&p)).expect("reparses"));
+        p
+    }
+
+    #[test]
+    fn round_trip_boxed_foreach() {
+        let p = reparse(
+            "<?php foreach ($rows as $k => &$v) { $v = 1; } \
+             foreach ($pairs as list($a, , $b)) { echo $a; }",
+        );
+        let StmtKind::Foreach {
+            array,
+            key,
+            by_ref,
+            value,
+            body,
+        } = &p.stmts[0].kind
+        else {
+            panic!("{:?}", p.stmts[0])
+        };
+        assert_eq!(array.as_var_name(), Some("rows"));
+        assert_eq!(key.as_ref().and_then(|k| k.as_var_name()), Some("k"));
+        assert!(*by_ref);
+        assert_eq!(value.as_var_name(), Some("v"));
+        assert_eq!(body.len(), 1);
+        let StmtKind::Foreach { key, value, .. } = &p.stmts[1].kind else {
+            panic!("{:?}", p.stmts[1])
+        };
+        assert!(key.is_none());
+        assert!(matches!(&value.kind, ExprKind::List(items) if items.len() == 3));
+    }
+
+    #[test]
+    fn round_trip_boxed_if() {
+        for src in [
+            "<?php if ($a) { f(); } elseif ($b) { g(); } else { h(); }",
+            "<?php if ($a): f(); elseif ($b): g(); else: h(); endif;",
+        ] {
+            let p = reparse(src);
+            let StmtKind::If {
+                cond,
+                then_branch,
+                elseifs,
+                else_branch,
+            } = &p.stmts[0].kind
+            else {
+                panic!("{:?}", p.stmts[0])
+            };
+            assert_eq!(cond.as_var_name(), Some("a"));
+            assert_eq!(then_branch.len(), 1);
+            assert_eq!(elseifs.len(), 1);
+            assert_eq!(elseifs[0].0.as_var_name(), Some("b"));
+            assert_eq!(else_branch.as_ref().map(Vec::len), Some(1));
+        }
+    }
+
+    #[test]
+    fn round_trip_boxed_for() {
+        let p = reparse("<?php for ($i = 0, $j = 9; $i < $j; $i++, $j--) { f($i); }");
+        let StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        } = &p.stmts[0].kind
+        else {
+            panic!("{:?}", p.stmts[0])
+        };
+        assert_eq!(
+            (init.len(), cond.len(), step.len(), body.len()),
+            (2, 1, 2, 1)
+        );
+        let p = reparse("<?php for (;;) { break; }");
+        assert!(matches!(
+            &p.stmts[0].kind,
+            StmtKind::For { init, cond, step, .. } if init.is_empty() && cond.is_empty() && step.is_empty()
+        ));
+    }
+
+    #[test]
+    fn round_trip_boxed_closure() {
+        let p =
+            reparse("<?php $f = function ($x, $y = 2) use (&$acc, $db) { $acc[] = $db->q($x); };");
+        let StmtKind::Expr(e) = &p.stmts[0].kind else {
+            panic!("{:?}", p.stmts[0])
+        };
+        let ExprKind::Assign { value, .. } = &e.kind else {
+            panic!("{e:?}")
+        };
+        let ExprKind::Closure(c) = &value.kind else {
+            panic!("{value:?}")
+        };
+        assert_eq!(c.params.len(), 2);
+        assert!(c.params[1].default.is_some());
+        let uses: Vec<_> = c.uses.iter().map(|(n, r)| (n.as_str(), *r)).collect();
+        assert_eq!(uses, [("acc", true), ("db", false)]);
+        assert_eq!(c.body.len(), 1);
     }
 
     #[test]

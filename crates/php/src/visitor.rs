@@ -278,13 +278,13 @@ pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, e: &Expr) {
                 v.visit_expr(it);
             }
         }
-        ExprKind::Closure { params, body, .. } => {
-            for p in params {
+        ExprKind::Closure(c) => {
+            for p in &c.params {
                 if let Some(d) = &p.default {
                     v.visit_expr(d);
                 }
             }
-            for st in body {
+            for st in &c.body {
                 v.visit_stmt(st);
             }
         }

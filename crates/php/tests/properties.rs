@@ -221,7 +221,7 @@ fn stmt(rng: &mut StdRng, depth: usize) -> Stmt {
     if rng.gen_bool(0.5) {
         Stmt::new(
             StmtKind::If {
-                cond,
+                cond: Box::new(cond),
                 then_branch: body,
                 elseifs: vec![],
                 else_branch: None,

@@ -134,12 +134,37 @@ pub fn analyze_with_resolutions(
     runtime: &Runtime,
     obs: wap_obs::JobHandle<'_>,
 ) -> Vec<Candidate> {
-    let (mut candidates, store_seen) =
-        run_pass(catalog, options, files, resolutions, runtime, false, obs);
+    // one walk per file finds its declarations for both passes
+    let functions: Vec<Vec<&Function>> = files.iter().map(|f| f.program.functions()).collect();
+    let inputs: Vec<PassInput<'_>> = files
+        .iter()
+        .zip(&functions)
+        .map(|(f, funcs)| PassInput {
+            name: f.name.clone(),
+            program: Some(&f.program),
+            decl_names: funcs.iter().map(|func| func.name.lower()).collect(),
+            cached: None,
+        })
+        .collect();
+    let pass = |fetch_is_tainted| {
+        let outcome = run_pass_walked(
+            catalog,
+            options,
+            &inputs,
+            &functions,
+            resolutions,
+            runtime,
+            fetch_is_tainted,
+            obs,
+        );
+        let store_seen = outcome.artifacts.iter().any(|a| a.store_seen);
+        (pass_candidates(&outcome.artifacts), store_seen)
+    };
+    let (mut candidates, store_seen) = pass(false);
     if options.second_order && store_seen {
         // second-order pass: stored data coming back from the database is
         // attacker-controlled; duplicates are removed by the final dedup
-        let (more, _) = run_pass(catalog, options, files, resolutions, runtime, true, obs);
+        let (more, _) = pass(true);
         candidates.extend(more);
     }
     dedup_and_sort(candidates)
@@ -188,8 +213,8 @@ impl PassArtifacts {
 ///
 /// Contract (upheld by `wap-core`'s cache orchestration):
 /// - `decl_names` lists the lowercased function names the file declares,
-///   in declaration order — for a parsed file this must equal
-///   [`declared_names`] of its program.
+///   in declaration order — for a parsed file these are the lowercased
+///   names of its program's [`Program::functions`].
 /// - `program` must be `Some` for every file analyzed fresh
 ///   (`cached == None`), and for the canonical owner of every declaration
 ///   in a fresh file's dependency closure (the declarations reachable
@@ -222,15 +247,6 @@ pub struct PassOutcome {
     /// rest on an empty stand-in summary and must be discarded: the
     /// caller falls back to a cold run.
     pub missing_body: bool,
-}
-
-/// Lowercased function names a program declares, in declaration order.
-pub fn declared_names(program: &Program) -> Vec<Symbol> {
-    program
-        .functions()
-        .into_iter()
-        .map(|f| f.name.lower())
-        .collect()
 }
 
 /// Lowercased names of every call target a program references: plain
@@ -344,10 +360,11 @@ struct FnDecl<'a> {
 
 type FnIndex<'a> = HashMap<Symbol, FnDecl<'a>>;
 
-fn build_fn_index<'a>(files: &[PassInput<'a>]) -> FnIndex<'a> {
+/// `functions[i]` is `files[i]`'s [`Program::functions`], or empty when
+/// the file comes without a program.
+fn build_fn_index<'a>(files: &[PassInput<'a>], functions: &[Vec<&'a Function>]) -> FnIndex<'a> {
     let mut index = FnIndex::new();
-    for (i, f) in files.iter().enumerate() {
-        let funcs: Vec<&'a Function> = f.program.map(|p| p.functions()).unwrap_or_default();
+    for (i, (f, funcs)) in files.iter().zip(functions).enumerate() {
         for (j, name) in f.decl_names.iter().enumerate() {
             index.entry(*name).or_insert(FnDecl {
                 owner: i,
@@ -397,7 +414,37 @@ pub fn run_pass_incremental_with_resolutions(
     fetch_is_tainted: bool,
     obs: wap_obs::JobHandle<'_>,
 ) -> PassOutcome {
-    let index = build_fn_index(files);
+    let functions: Vec<Vec<&Function>> = files
+        .iter()
+        .map(|f| f.program.map(Program::functions).unwrap_or_default())
+        .collect();
+    run_pass_walked(
+        catalog,
+        options,
+        files,
+        &functions,
+        resolutions,
+        runtime,
+        fetch_is_tainted,
+        obs,
+    )
+}
+
+/// [`run_pass_incremental_with_resolutions`] over files whose function
+/// declarations were already collected: `functions[i]` is `files[i]`'s
+/// [`Program::functions`], or empty when the file comes without a program.
+#[allow(clippy::too_many_arguments)]
+fn run_pass_walked<'a>(
+    catalog: &Catalog,
+    options: &AnalysisOptions,
+    files: &[PassInput<'a>],
+    functions: &[Vec<&'a Function>],
+    resolutions: &HashMap<String, FileResolution>,
+    runtime: &Runtime,
+    fetch_is_tainted: bool,
+    obs: wap_obs::JobHandle<'_>,
+) -> PassOutcome {
+    let index = build_fn_index(files, functions);
     let programs_by_name: HashMap<&str, &Program> = files
         .iter()
         .filter_map(|f| f.program.map(|p| (f.name.as_str(), p)))
@@ -430,7 +477,7 @@ pub fn run_pass_incremental_with_resolutions(
             fetch_is_tainted,
             CarriedState::default(),
         );
-        engine.summarize_own();
+        engine.summarize_own(&f.decl_names, &functions[i]);
         engine.into_phase_a()
     });
     let mut missing_body = phase_a.iter().any(|pa| pa.missing_body);
@@ -530,37 +577,6 @@ pub fn pass_candidates(artifacts: &[PassArtifacts]) -> Vec<Candidate> {
         out.extend(a.b_candidates.iter().cloned());
     }
     out
-}
-
-fn run_pass(
-    catalog: &Catalog,
-    options: &AnalysisOptions,
-    files: &[SourceFile],
-    resolutions: &HashMap<String, FileResolution>,
-    runtime: &Runtime,
-    fetch_is_tainted: bool,
-    obs: wap_obs::JobHandle<'_>,
-) -> (Vec<Candidate>, bool) {
-    let inputs: Vec<PassInput<'_>> = files
-        .iter()
-        .map(|f| PassInput {
-            name: f.name.clone(),
-            program: Some(&f.program),
-            decl_names: declared_names(&f.program),
-            cached: None,
-        })
-        .collect();
-    let outcome = run_pass_incremental_with_resolutions(
-        catalog,
-        options,
-        &inputs,
-        resolutions,
-        runtime,
-        fetch_is_tainted,
-        obs,
-    );
-    let store_seen = outcome.artifacts.iter().any(|a| a.store_seen);
-    (pass_candidates(&outcome.artifacts), store_seen)
 }
 
 /// Final join: deduplicate (loop re-execution, joined branches, and the
@@ -813,13 +829,11 @@ impl<'a> Engine<'a> {
     /// Phase A: summarize every user function this file canonically
     /// declares, in name order. This also reports flows that start at entry
     /// points *inside* function bodies, attributed to the declaring file.
-    fn summarize_own(&mut self) {
-        let mut decls: Vec<(Symbol, &'a Function)> = self
-            .program
-            .functions()
-            .into_iter()
-            .map(|func| (func.name.lower(), func))
-            .collect();
+    /// `names` and `funcs` are the file's lowercased declared names and
+    /// their declarations, in declaration order.
+    fn summarize_own(&mut self, names: &[Symbol], funcs: &[&'a Function]) {
+        let mut decls: Vec<(Symbol, &'a Function)> =
+            names.iter().copied().zip(funcs.iter().copied()).collect();
         decls.sort_by_key(|d| d.0);
         let file_idx = self.file_idx;
         for (name, func) in decls {
@@ -1350,15 +1364,15 @@ impl<'a> Engine<'a> {
                 t
             }
             ExprKind::List(_) => TaintState::Clean,
-            ExprKind::Closure { body, uses, .. } => {
+            ExprKind::Closure(c) => {
                 // analyze the closure body with captured taint
                 let mut inner = Env::new();
-                for (name, _) in uses {
+                for (name, _) in &c.uses {
                     if let Some(t) = env.get(name) {
                         inner.insert(*name, t.clone());
                     }
                 }
-                self.exec_block(&mut inner, body);
+                self.exec_block(&mut inner, &c.body);
                 TaintState::Clean
             }
             ExprKind::ShellExec(parts) => {
