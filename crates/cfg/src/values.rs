@@ -31,16 +31,18 @@
 //! [`MAX_VALUE_LEN`] bytes; concatenation past either bound widens an
 //! exact set to a prefix set (the left operand's strings survive as
 //! known prefixes), and joins past the bound widen to ⊤. This keeps the
-//! domain finite, so the bounded loop re-execution the taint engine also
-//! uses (two passes) reaches a fixpoint.
+//! domain finite. Loop bodies still run only
+//! [`LOOP_PASSES`](wap_php::flow::LOOP_PASSES) times: that bounds the
+//! walk, but it is not a fixpoint.
 //!
 //! ## Analysis shape
 //!
-//! The interpreter walks the *AST* flow-sensitively (branch joins,
-//! bounded loops) rather than iterating over CFG blocks: statement-level
-//! environments are exactly what the consumers query, and the AST walk
-//! mirrors the taint engine's evaluation order so the two analyses agree
-//! on what executes. Interprocedural flow uses the same two-phase shape
+//! The interpreter walks the *AST* flow-sensitively rather than iterating
+//! over CFG blocks: statement-level environments are exactly what the
+//! consumers query. Statements run through [`wap_php::flow`]'s
+//! [`AbstractWalk`], the walker the taint engine also uses, so the two
+//! analyses agree by construction on what executes, how branches join and
+//! how often loops run. Interprocedural flow uses the same two-phase shape
 //! as `wap-taint`: [`summarize_values`] extracts a per-function return
 //! template (phase A, per file), the caller merges templates
 //! first-declaration-wins across files, and [`analyze_file_values`]
@@ -55,6 +57,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use wap_php::ast::*;
+use wap_php::flow::{self, AbstractWalk, Lattice};
 use wap_php::{Span, Symbol};
 
 /// Maximum number of concrete strings tracked per abstract value; joins
@@ -64,9 +67,6 @@ pub const MAX_VALUE_SET: usize = 8;
 /// Maximum length in bytes of any tracked string; longer concatenation
 /// results widen the exact set to a prefix set.
 pub const MAX_VALUE_LEN: usize = 128;
-
-/// Re-execution count for loop bodies (same bound as the taint engine).
-const LOOP_PASSES: usize = 2;
 
 /// One point in the value lattice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,6 +87,16 @@ pub enum AbstractValue {
     },
     /// Anything.
     Top,
+}
+
+impl Lattice for AbstractValue {
+    fn join(&self, other: &AbstractValue) -> AbstractValue {
+        AbstractValue::join(self, other)
+    }
+
+    fn opaque() -> AbstractValue {
+        AbstractValue::Top
+    }
 }
 
 impl AbstractValue {
@@ -540,7 +550,7 @@ pub fn analyze_file_values(
     interp.out
 }
 
-type Env = HashMap<Symbol, AbstractValue>;
+type Env = flow::Env<AbstractValue>;
 
 struct Interp<'a> {
     file: &'a str,
@@ -555,192 +565,34 @@ struct Interp<'a> {
     out: FileValues,
 }
 
-impl<'a> Interp<'a> {
-    fn snapshot(&mut self, env: &Env, offset: u32) {
+impl<'p> AbstractWalk<'p> for Interp<'_> {
+    type Value = AbstractValue;
+
+    /// Records the environment before the statement, for point queries.
+    fn before_stmt(&mut self, env: &Env, stmt: &'p Stmt) {
         let filtered: HashMap<Symbol, AbstractValue> = env
             .iter()
             .filter(|(_, v)| !matches!(v, AbstractValue::Top | AbstractValue::Bot))
             .map(|(k, v)| (*k, v.clone()))
             .collect();
-        self.out.snapshots.insert(offset, filtered);
+        self.out.snapshots.insert(stmt.span.start(), filtered);
     }
 
-    fn exec_block(&mut self, env: &mut Env, stmts: &[Stmt]) {
-        for s in stmts {
-            self.exec_stmt(env, s);
+    fn bind_foreach(
+        &mut self,
+        env: &mut Env,
+        _array: AbstractValue,
+        key: Option<&'p Expr>,
+        value: &'p Expr,
+        _span: Span,
+    ) {
+        if let Some(k) = key {
+            self.assign_top(env, k);
         }
+        self.assign_top(env, value);
     }
 
-    fn exec_stmt(&mut self, env: &mut Env, stmt: &Stmt) {
-        self.snapshot(env, stmt.span.start());
-        match &stmt.kind {
-            StmtKind::Expr(e) | StmtKind::Throw(e) => {
-                self.eval(env, e);
-            }
-            StmtKind::Echo(items) => {
-                for e in items {
-                    self.eval(env, e);
-                }
-            }
-            StmtKind::InlineHtml(_) | StmtKind::Nop => {}
-            StmtKind::If {
-                cond,
-                then_branch,
-                elseifs,
-                else_branch,
-            } => {
-                self.eval(env, cond);
-                let mut branches: Vec<Env> = Vec::new();
-                let mut b1 = env.clone();
-                self.exec_block(&mut b1, then_branch);
-                branches.push(b1);
-                for (c, b) in elseifs {
-                    self.eval(env, c);
-                    let mut bi = env.clone();
-                    self.exec_block(&mut bi, b);
-                    branches.push(bi);
-                }
-                match else_branch {
-                    Some(b) => {
-                        let mut be = env.clone();
-                        self.exec_block(&mut be, b);
-                        branches.push(be);
-                    }
-                    None => branches.push(env.clone()),
-                }
-                *env = join_envs(branches);
-            }
-            StmtKind::While { cond, body } => {
-                for _ in 0..LOOP_PASSES {
-                    self.eval(env, cond);
-                    let mut b = env.clone();
-                    self.exec_block(&mut b, body);
-                    *env = join_envs(vec![env.clone(), b]);
-                }
-            }
-            StmtKind::DoWhile { body, cond } => {
-                for _ in 0..LOOP_PASSES {
-                    let mut b = env.clone();
-                    self.exec_block(&mut b, body);
-                    *env = join_envs(vec![env.clone(), b]);
-                    self.eval(env, cond);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                for e in init {
-                    self.eval(env, e);
-                }
-                for _ in 0..LOOP_PASSES {
-                    for e in cond {
-                        self.eval(env, e);
-                    }
-                    let mut b = env.clone();
-                    self.exec_block(&mut b, body);
-                    for e in step {
-                        self.eval(&mut b, e);
-                    }
-                    *env = join_envs(vec![env.clone(), b]);
-                }
-            }
-            StmtKind::Foreach {
-                array,
-                key,
-                value,
-                body,
-                ..
-            } => {
-                self.eval(env, array);
-                if let Some(k) = key {
-                    self.assign_top(env, k);
-                }
-                self.assign_top(env, value);
-                for _ in 0..LOOP_PASSES {
-                    let mut b = env.clone();
-                    self.exec_block(&mut b, body);
-                    *env = join_envs(vec![env.clone(), b]);
-                }
-            }
-            StmtKind::Switch { subject, cases } => {
-                self.eval(env, subject);
-                let mut branches: Vec<Env> = vec![env.clone()];
-                for c in cases {
-                    if let Some(t) = &c.test {
-                        self.eval(env, t);
-                    }
-                    let mut b = env.clone();
-                    self.exec_block(&mut b, &c.body);
-                    branches.push(b);
-                }
-                *env = join_envs(branches);
-            }
-            StmtKind::Break(_) | StmtKind::Continue(_) => {}
-            StmtKind::Return(e) => {
-                if let Some(e) = e {
-                    self.eval(env, e);
-                }
-            }
-            StmtKind::Global(names) => {
-                for n in names {
-                    env.insert(*n, AbstractValue::Top);
-                }
-            }
-            StmtKind::StaticVars(vars) => {
-                for (n, d) in vars {
-                    let v = d
-                        .as_ref()
-                        .map(|e| self.eval(env, e))
-                        .unwrap_or(AbstractValue::Top);
-                    env.insert(*n, v);
-                }
-            }
-            // summarized separately; bodies walked by analyze_file_values
-            StmtKind::Function(_) | StmtKind::Class(_) => {}
-            StmtKind::Include { path, .. } => {
-                self.handle_include(env, path);
-            }
-            StmtKind::Unset(targets) => {
-                for t in targets {
-                    if let Some(root) = t.root_var_symbol() {
-                        env.remove(&root);
-                    }
-                }
-            }
-            StmtKind::Block(b) => self.exec_block(env, b),
-            StmtKind::Try {
-                body,
-                catches,
-                finally,
-            } => {
-                self.exec_block(env, body);
-                let mut branches = vec![env.clone()];
-                for c in catches {
-                    let mut b = env.clone();
-                    if let Some(v) = c.var {
-                        b.insert(v, AbstractValue::Top);
-                    }
-                    self.exec_block(&mut b, &c.body);
-                    branches.push(b);
-                }
-                *env = join_envs(branches);
-                if let Some(f) = finally {
-                    self.exec_block(env, f);
-                }
-            }
-        }
-    }
-
-    fn assign_top(&mut self, env: &mut Env, target: &Expr) {
-        if let Some(root) = target.root_var_symbol() {
-            env.insert(root, AbstractValue::Top);
-        }
-    }
-
-    fn handle_include(&mut self, env: &mut Env, path: &Expr) {
+    fn exec_include(&mut self, env: &mut Env, path: &'p Expr, _span: Span) {
         let v = self.eval(env, path);
         let dynamic = path.as_str_lit().is_none();
         match v.exact_strings() {
@@ -770,24 +622,7 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Matches one evaluated include path against the scan set: the path
-    /// as spelled, then relative to the including file's directory.
-    /// Purely name-based — never reads the filesystem.
-    fn resolve_path(&self, path: &str) -> Option<String> {
-        let direct = normalize_path(path);
-        if let Some(raw) = self.known_files.get(&direct) {
-            return Some(raw.clone());
-        }
-        if !self.dir.is_empty() {
-            let joined = normalize_path(&format!("{}/{}", self.dir, path));
-            if let Some(raw) = self.known_files.get(&joined) {
-                return Some(raw.clone());
-            }
-        }
-        None
-    }
-
-    fn eval(&mut self, env: &mut Env, expr: &Expr) -> AbstractValue {
+    fn eval(&mut self, env: &mut Env, expr: &'p Expr) -> AbstractValue {
         use AbstractValue as V;
         match &expr.kind {
             ExprKind::Var(n) => env.get(n).cloned().unwrap_or(V::Top),
@@ -943,16 +778,7 @@ impl<'a> Interp<'a> {
                 V::Top
             }
             ExprKind::List(_) => V::Top,
-            ExprKind::Closure(c) => {
-                let mut inner = Env::new();
-                for (name, _) in &c.uses {
-                    if let Some(v) = env.get(name) {
-                        inner.insert(*name, v.clone());
-                    }
-                }
-                self.exec_block(&mut inner, &c.body);
-                V::Top
-            }
+            ExprKind::Closure(c) => self.eval_closure(env, c),
             ExprKind::ErrorSuppress(e) | ExprKind::Clone(e) => self.eval(env, e),
             ExprKind::Exit(arg) => {
                 if let Some(a) = arg {
@@ -971,10 +797,35 @@ impl<'a> Interp<'a> {
                 V::Top
             }
             ExprKind::IncludeExpr { path, .. } => {
-                self.handle_include(env, path);
+                self.exec_include(env, path, expr.span);
                 V::Top
             }
         }
+    }
+}
+
+impl Interp<'_> {
+    fn assign_top(&mut self, env: &mut Env, target: &Expr) {
+        if let Some(root) = target.root_var_symbol() {
+            env.insert(root, AbstractValue::Top);
+        }
+    }
+
+    /// Matches one evaluated include path against the scan set: the path
+    /// as spelled, then relative to the including file's directory.
+    /// Purely name-based — never reads the filesystem.
+    fn resolve_path(&self, path: &str) -> Option<String> {
+        let direct = normalize_path(path);
+        if let Some(raw) = self.known_files.get(&direct) {
+            return Some(raw.clone());
+        }
+        if !self.dir.is_empty() {
+            let joined = normalize_path(&format!("{}/{}", self.dir, path));
+            if let Some(raw) = self.known_files.get(&joined) {
+                return Some(raw.clone());
+            }
+        }
+        None
     }
 
     fn eval_name(&self, n: Symbol) -> AbstractValue {
@@ -1171,20 +1022,6 @@ fn builtin_value(lower: &str, args: &[AbstractValue]) -> AbstractValue {
         }
         _ => AbstractValue::Top,
     }
-}
-
-fn join_envs(mut envs: Vec<Env>) -> Env {
-    let mut out = envs.pop().unwrap_or_default();
-    for env in envs {
-        for (k, v) in env {
-            let joined = match out.get(&k) {
-                Some(existing) => existing.join(&v),
-                None => v,
-            };
-            out.insert(k, joined);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

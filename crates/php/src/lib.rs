@@ -34,6 +34,7 @@ pub mod arena;
 pub mod ast;
 pub mod error;
 pub mod fingerprint;
+pub mod flow;
 pub mod intern;
 pub mod lexer;
 pub mod parser;

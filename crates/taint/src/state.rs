@@ -72,6 +72,18 @@ pub enum TaintState {
     Tainted(Arc<TaintInfo>),
 }
 
+impl wap_php::flow::Lattice for TaintState {
+    fn join(&self, other: &TaintState) -> TaintState {
+        TaintState::join(self, other)
+    }
+
+    /// Unmodelled bindings are treated as clean: globals usually hold DB
+    /// handles and configuration, and exception objects are not tracked.
+    fn opaque() -> TaintState {
+        TaintState::Clean
+    }
+}
+
 impl TaintState {
     /// A fresh taint originating at `source` (an entry point).
     pub fn source(source: impl AsRef<str>, span: Span) -> Self {

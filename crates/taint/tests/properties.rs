@@ -167,30 +167,3 @@ fn findings_have_valid_locations() {
         }
     }
 }
-
-/// More loop passes never lose findings (join is monotone).
-#[test]
-fn loop_passes_monotone() {
-    let src = r#"<?php
-        $q = "SELECT 1";
-        foreach ($_POST['f'] as $f) { $q = $q . " AND $f"; }
-        mysql_query($q);
-    "#;
-    let program = parse(src).expect("parses");
-    let files = vec![SourceFile {
-        name: "x.php".into(),
-        program,
-    }];
-    let run = |loop_passes| {
-        let options = AnalysisOptions {
-            loop_passes,
-            ..AnalysisOptions::default()
-        };
-        analyze(&Catalog::wape(), &options, &files)
-    };
-    let mut rng = StdRng::seed_from_u64(6);
-    for _ in 0..CASES {
-        let passes = rng.gen_range(1..4);
-        assert!(run(passes + 1).len() >= run(passes).len());
-    }
-}
