@@ -12,9 +12,9 @@ usage: wap rules <COMMAND> [ARGS] [--rules-dir <DIR>]
 Manage versioned rule packs (see `wap scan --rules <pack>`).
 
 COMMANDS:
-    install <PATH|NAME>   Install a pack from a manifest file, directory,
-                          or tarball (pack.json / pack.yaml / pack.yml,
-                          schema-checked). NAME installs a builtin starter
+    install <PATH|NAME>   Install a pack from a JSON manifest file, or a
+                          directory or tarball holding pack.json
+                          (schema-checked). NAME installs a builtin starter
                           pack (available: wordpress, generic-php).
     update <PATH|NAME>    Alias of install: re-reads the source and
                           overwrites the stored name@version.

@@ -7,11 +7,11 @@
 //! rule schema from `wap-cfg`) that install under a rules directory and
 //! plug into every front-end (`wap --rules`, serve `?rules=`).
 //!
-//! * [`RulePack`] — parse/validate a JSON or YAML-lite manifest
-//!   (auto-detected), serialize it canonically, and compute a
-//!   deterministic [`RulePack::fingerprint`] that joins the `cfg`
-//!   cache-entry key, so installing or upgrading a pack invalidates
-//!   exactly the cached lint results and nothing else ([`pack`]).
+//! * [`RulePack`] — parse/validate a JSON manifest, serialize it
+//!   canonically, and compute a deterministic [`RulePack::fingerprint`]
+//!   that joins the `cfg` cache-entry key, so installing or upgrading a
+//!   pack invalidates exactly the cached lint results and nothing else
+//!   ([`pack`]).
 //! * [`Store`] — `install` / `update` / `list` / `remove` over
 //!   `<rules_dir>/<name>/<version>/pack.json`, accepting manifest files,
 //!   directories, or uncompressed tarballs ([`store`], [`tar`]).
@@ -20,7 +20,7 @@
 //!   `$wpdb` queries via call-with-argument matching).
 //!
 //! Like the rest of the analysis core, this crate depends only on
-//! workspace crates (`wap-cfg`, `wap-php`): the JSON, YAML-lite, and tar
+//! workspace crates (`wap-cfg`, `wap-php`, `wap-json`): the JSON and tar
 //! codecs are hand-rolled std-only subsets.
 //!
 //! ## Quick start
@@ -43,8 +43,7 @@ pub mod cli;
 pub mod pack;
 pub mod store;
 pub mod tar;
-pub mod yaml;
 
 pub use cli::{cli_main, RULES_USAGE};
 pub use pack::{version_key, RulePack, PACK_SCHEMA_VERSION};
-pub use store::{default_rules_dir, InstalledPack, Store, MANIFEST_NAMES};
+pub use store::{default_rules_dir, InstalledPack, Store, MANIFEST_NAME};

@@ -1,15 +1,11 @@
 //! The rule-pack model: a named, versioned, schema-checked collection of
 //! [`RuleSpec`]s with a deterministic fingerprint.
 //!
-//! Manifests are JSON or YAML-lite, auto-detected by the first
-//! non-whitespace byte (`{` means JSON). Both decode through one
-//! [`Value`] tree and one field reader, so the two formats cannot drift.
-//! On install the manifest is re-serialized canonically
-//! ([`RulePack::to_canonical_json`]), which is also the byte stream the
-//! fingerprint hashes — a pack's fingerprint is independent of the
-//! format, key order, and whitespace it was authored in.
+//! Manifests are JSON. On install the manifest is re-serialized
+//! canonically ([`RulePack::to_canonical_json`]), which is also the byte
+//! stream the fingerprint hashes — a pack's fingerprint is independent of
+//! the key order and whitespace it was authored in.
 
-use crate::yaml;
 use wap_cfg::{MatchSpec, RuleSet, RuleSpec};
 use wap_json::{quote, Value};
 use wap_php::fingerprint::fields_hash;
@@ -31,7 +27,7 @@ pub struct RulePack {
 }
 
 impl RulePack {
-    /// Parses and validates a manifest (JSON or YAML-lite, auto-detected).
+    /// Parses and validates a JSON manifest.
     ///
     /// # Errors
     ///
@@ -39,15 +35,7 @@ impl RulePack {
     /// missing fields, unknown rule kinds or severities, and rule
     /// patterns that fail to compile.
     pub fn parse(manifest: &str) -> Result<RulePack, String> {
-        let is_json = manifest
-            .chars()
-            .find(|c| !c.is_whitespace())
-            .is_some_and(|c| c == '{');
-        let value = if is_json {
-            Value::parse(manifest).map_err(|e| format!("json: {e}"))?
-        } else {
-            yaml::parse(manifest).map_err(|e| format!("yaml: {e}"))?
-        };
+        let value = Value::parse(manifest).map_err(|e| format!("json: {e}"))?;
         RulePack::from_value(&value)
     }
 
@@ -377,35 +365,6 @@ pub fn version_key(version: &str) -> Option<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_and_yaml_manifests_parse_identically() {
-        let json = r#"{
-            "schema": 1,
-            "name": "demo",
-            "version": "0.2.0",
-            "rules": [
-                {"id": "no-eval", "kind": "forbid_call", "function": "eval",
-                 "severity": "error", "message": "eval is banned"}
-            ]
-        }"#;
-        let yaml = "\
-schema: 1
-name: demo
-version: \"0.2.0\"
-rules:
-  - id: no-eval
-    kind: forbid_call
-    function: eval
-    severity: error
-    message: eval is banned
-";
-        let a = RulePack::parse(json).unwrap();
-        let b = RulePack::parse(yaml).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.rules[0].pack.as_deref(), Some("demo"));
-    }
 
     #[test]
     fn canonical_json_round_trips() {

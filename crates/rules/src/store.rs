@@ -1,17 +1,16 @@
 //! The on-disk pack store: `<rules_dir>/<name>/<version>/pack.json`,
 //! always written canonically so a pack's fingerprint can be recomputed
-//! from the store bytes alone. Installation accepts a manifest file, a
-//! directory containing one, or an uncompressed tarball; manifests are
-//! named `pack.json` / `pack.yaml` / `pack.yml`.
+//! from the store bytes alone. Installation accepts a JSON manifest file,
+//! a directory containing one, or an uncompressed tarball; inside
+//! directories and tarballs the manifest is named `pack.json`.
 
 use crate::pack::{version_key, RulePack};
 use crate::tar;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Manifest file names recognized inside directories and tarballs, in
-/// preference order.
-pub const MANIFEST_NAMES: [&str; 3] = ["pack.json", "pack.yaml", "pack.yml"];
+/// The manifest file name inside directories and tarballs.
+pub const MANIFEST_NAME: &str = "pack.json";
 
 /// The rules directory: `WAP_RULES_DIR` or `.wap-rules` under the
 /// current directory.
@@ -223,17 +222,14 @@ fn load_dir(dir: &Path) -> Result<RulePack, String> {
 /// Reads the manifest text out of a file, directory, or tarball source.
 fn read_manifest(source: &Path) -> Result<String, String> {
     if source.is_dir() {
-        for name in MANIFEST_NAMES {
-            let candidate = source.join(name);
-            if candidate.is_file() {
-                return fs::read_to_string(&candidate)
-                    .map_err(|e| format!("read {}: {e}", candidate.display()));
-            }
+        let candidate = source.join(MANIFEST_NAME);
+        if candidate.is_file() {
+            return fs::read_to_string(&candidate)
+                .map_err(|e| format!("read {}: {e}", candidate.display()));
         }
         return Err(format!(
-            "{}: no manifest found (expected one of {})",
-            source.display(),
-            MANIFEST_NAMES.join(", ")
+            "{}: no manifest found (expected {MANIFEST_NAME})",
+            source.display()
         ));
     }
     let bytes = fs::read(source).map_err(|e| format!("read {}: {e}", source.display()))?;
@@ -241,28 +237,20 @@ fn read_manifest(source: &Path) -> Result<String, String> {
         .file_name()
         .map(|n| n.to_string_lossy().to_string())
         .unwrap_or_default();
-    if MANIFEST_NAMES.iter().any(|m| name == *m)
-        || name.ends_with(".json")
-        || name.ends_with(".yaml")
-        || name.ends_with(".yml")
-    {
+    if name.ends_with(".json") {
         return String::from_utf8(bytes).map_err(|_| format!("{name}: not UTF-8"));
     }
     // otherwise: a tarball — pick the shallowest manifest entry
-    let entries = tar::entries(&bytes).map_err(|e| format!("{name}: {e}"))?;
+    let not_a_pack =
+        || format!("{name}: neither a JSON manifest nor a tarball holding {MANIFEST_NAME}");
+    let entries = tar::entries(&bytes).map_err(|e| format!("{} ({e})", not_a_pack()))?;
     let mut candidates: Vec<&tar::Entry> = entries
         .iter()
-        .filter(|e| {
-            let base = e.path.rsplit('/').next().unwrap_or(&e.path);
-            MANIFEST_NAMES.contains(&base)
-        })
+        .filter(|e| e.path.rsplit('/').next() == Some(MANIFEST_NAME))
         .collect();
     candidates.sort_by_key(|e| (e.path.matches('/').count(), e.path.clone()));
     let Some(entry) = candidates.first() else {
-        return Err(format!(
-            "{name}: no manifest in archive (expected one of {})",
-            MANIFEST_NAMES.join(", ")
-        ));
+        return Err(not_a_pack());
     };
     String::from_utf8(entry.data.clone()).map_err(|_| format!("{}: not UTF-8", entry.path))
 }
@@ -348,6 +336,41 @@ mod tests {
             .install(&scratch.join("missing.tar"))
             .unwrap_err()
             .contains("read"));
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn yaml_manifests_are_rejected_naming_the_json_manifest() {
+        let store = temp_store("yaml");
+        let scratch = store.root().join("src");
+        let dir = scratch.join("pack-dir");
+        fs::create_dir_all(&dir).unwrap();
+        // a valid pack in the former YAML-lite syntax, short and past one tar block
+        let yaml = |rules: usize| {
+            let mut text = "schema: 1\nname: demo\nversion: \"0.2.0\"\nrules:\n".to_string();
+            for i in 0..rules {
+                text.push_str(&format!(
+                    "  - id: no-eval-{i}\n    kind: forbid_call\n    function: eval\n    \
+                     severity: error\n    message: eval is banned\n"
+                ));
+            }
+            text
+        };
+        for text in [yaml(1), yaml(8)] {
+            for name in ["pack.yaml", "pack.yml"] {
+                let file = scratch.join(name);
+                fs::write(&file, &text).unwrap();
+                let err = store.install(&file).unwrap_err();
+                assert!(
+                    err.contains("JSON manifest") && err.contains("pack.json"),
+                    "{err}"
+                );
+                fs::write(dir.join(name), &text).unwrap();
+                let err = store.install(&dir).unwrap_err();
+                assert!(err.contains("expected pack.json"), "{err}");
+            }
+        }
+        assert!(store.list().unwrap().is_empty());
         let _ = fs::remove_dir_all(store.root());
     }
 
