@@ -4,9 +4,9 @@
 use crate::lsp::{LspConfig, LspServer};
 use crate::watch::{WatchConfig, Watcher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use wap_core::cli::positive_arg;
+use wap_runtime::signal;
 
 /// Help text for `wap watch`.
 pub const WATCH_USAGE: &str = "\
@@ -142,29 +142,6 @@ pub fn parse_lsp_args<I: IntoIterator<Item = String>>(
     Ok((config, help))
 }
 
-/// Process-global shutdown flag, set from the signal handler.
-static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" fn on_signal(_sig: i32) {
-        // only an atomic store: async-signal-safe
-        SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
-        signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
-
 /// Runs `wap watch` to completion; returns the process exit code
 /// (0 graceful shutdown, 2 usage error, 3+ I/O error).
 pub fn watch_main(args: Vec<String>) -> i32 {
@@ -186,9 +163,9 @@ pub fn watch_main(args: Vec<String>) -> i32 {
             return e.exit_code();
         }
     };
-    install_signal_handlers();
+    signal::install_shutdown_handlers();
     let stdout = std::io::stdout();
-    let result = watcher.run(&mut stdout.lock(), &SIGNAL_SHUTDOWN);
+    let result = watcher.run(&mut stdout.lock(), &signal::SHUTDOWN);
     if watcher.metrics.revisions() > 0 {
         eprint!("{}", watcher.metrics.render("watch"));
     }
@@ -215,7 +192,7 @@ pub fn lsp_main(args: Vec<String>) -> i32 {
         print!("{LSP_USAGE}");
         return 0;
     }
-    install_signal_handlers();
+    signal::install_shutdown_handlers();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     LspServer::new(config).run(&mut stdin.lock(), &mut stdout.lock())

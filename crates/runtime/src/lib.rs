@@ -25,6 +25,7 @@
 
 pub mod queue;
 pub mod rng;
+pub mod signal;
 
 pub use queue::{JobQueue, JobStatus, SubmitError, Task};
 

@@ -2,9 +2,10 @@
 
 use crate::{ServeConfig, Server};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 use wap_core::cli::positive_arg;
+use wap_runtime::signal;
 
 /// Help text for `wap serve`.
 pub const SERVE_USAGE: &str = "\
@@ -99,29 +100,6 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
     Ok((config, help))
 }
 
-/// Process-global shutdown flag, set from the signal handler.
-static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" fn on_signal(_sig: i32) {
-        // only an atomic store: async-signal-safe
-        SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
-        signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
-
 /// Runs `wap serve` to completion; returns the process exit code
 /// (0 graceful shutdown, 1 runtime error, 2 usage error).
 pub fn cli_main(args: Vec<String>) -> i32 {
@@ -150,11 +128,11 @@ pub fn cli_main(args: Vec<String>) -> i32 {
             return 1;
         }
     };
-    install_signal_handlers();
+    signal::install_shutdown_handlers();
     println!("wap-serve listening on http://{}", handle.addr());
     let watcher_handle = handle.clone();
     std::thread::spawn(move || loop {
-        if SIGNAL_SHUTDOWN.load(Ordering::SeqCst) {
+        if signal::SHUTDOWN.load(Ordering::SeqCst) {
             watcher_handle.shutdown();
             return;
         }
