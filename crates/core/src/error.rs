@@ -175,7 +175,7 @@ mod tests {
             422
         );
         assert_eq!(
-            WapError::io("/x", std::io::Error::new(std::io::ErrorKind::Other, "y")).http_status(),
+            WapError::io("/x", std::io::Error::other("y")).http_status(),
             500
         );
     }

@@ -135,7 +135,7 @@ mod tests {
             dir.join("notes.txt").display().to_string(),
             "not php, never collected",
         );
-        let sources = collect_sources_with_overlay(&[dir.clone()], &overlay).unwrap();
+        let sources = collect_sources_with_overlay(std::slice::from_ref(&dir), &overlay).unwrap();
         let names: Vec<&str> = sources.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names.len(), 3, "{names:?}");
         assert!(names[0].ends_with("a.php"));
@@ -158,8 +158,10 @@ mod tests {
             dir.join("x.php").display().to_string(),
             "<?php echo $_GET['v'];\n",
         );
-        let with = collect_sources_with_overlay(&[dir.clone()], &overlay).unwrap();
-        let without = collect_sources_with_overlay(&[dir.clone()], &SourceOverlay::new()).unwrap();
+        let with = collect_sources_with_overlay(std::slice::from_ref(&dir), &overlay).unwrap();
+        let without =
+            collect_sources_with_overlay(std::slice::from_ref(&dir), &SourceOverlay::new())
+                .unwrap();
         assert_eq!(with, without);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -176,7 +178,7 @@ mod tests {
         assert!(!overlay.is_empty());
         overlay.remove(&path);
         assert!(overlay.is_empty());
-        let sources = collect_sources_with_overlay(&[dir.clone()], &overlay).unwrap();
+        let sources = collect_sources_with_overlay(std::slice::from_ref(&dir), &overlay).unwrap();
         assert_eq!(sources[0].1, "<?php echo 'disk';\n");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -190,7 +192,7 @@ mod tests {
             "<?php echo $_GET['q'];\n",
         );
         // scanning the (empty) dir still picks up the unsaved buffer
-        let sources = collect_sources_with_overlay(&[dir.clone()], &overlay).unwrap();
+        let sources = collect_sources_with_overlay(std::slice::from_ref(&dir), &overlay).unwrap();
         assert_eq!(sources.len(), 1);
         assert!(sources[0].0.ends_with("mem.php"));
         std::fs::remove_dir_all(&dir).ok();

@@ -1311,7 +1311,7 @@ mysql_query("SELECT * FROM t WHERE c = '$q'");
         assert!(names.contains(&"one.php") && names.contains(&"two.php"));
         // the collector holds parse + taint + toplevel + vote spans
         assert!(tool.obs().enabled());
-        assert!(tool.obs().len() > 0);
+        assert!(!tool.obs().is_empty());
         let trace = tool.obs().render_ndjson();
         assert!(trace.starts_with("{\"schema\":\"wap-trace-v1\""));
         // untraced run over the same sources is bit-identical

@@ -163,6 +163,21 @@ pub fn from_arff(text: &str) -> Result<Dataset, ArffError> {
     Ok(Dataset { x, y, names })
 }
 
+fn split_attribute(rest: &str) -> Option<(String, String)> {
+    let rest = rest.trim();
+    if let Some(stripped) = rest.strip_prefix('\'') {
+        let end = stripped.find('\'')?;
+        let name = stripped[..end].to_string();
+        let domain = stripped[end + 1..].trim().to_string();
+        Some((name, domain))
+    } else {
+        let mut it = rest.splitn(2, char::is_whitespace);
+        let name = it.next()?.to_string();
+        let domain = it.next()?.trim().to_string();
+        Some((name, domain))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,20 +283,5 @@ mod tests {
             present: vec![],
         };
         assert!(p.predict(&fv).is_false_positive);
-    }
-}
-
-fn split_attribute(rest: &str) -> Option<(String, String)> {
-    let rest = rest.trim();
-    if let Some(stripped) = rest.strip_prefix('\'') {
-        let end = stripped.find('\'')?;
-        let name = stripped[..end].to_string();
-        let domain = stripped[end + 1..].trim().to_string();
-        Some((name, domain))
-    } else {
-        let mut it = rest.splitn(2, char::is_whitespace);
-        let name = it.next()?.to_string();
-        let domain = it.next()?.trim().to_string();
-        Some((name, domain))
     }
 }

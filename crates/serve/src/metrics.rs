@@ -310,8 +310,10 @@ mod tests {
     #[test]
     fn histograms_track_reports_and_queue_waits() {
         let m = Metrics::default();
-        let mut report = AppReport::default();
-        report.duration = Duration::from_millis(30);
+        let mut report = AppReport {
+            duration: Duration::from_millis(30),
+            ..AppReport::default()
+        };
         report.stats.set_phase_ns(Phase::Parse, 2_000_000);
         report.stats.set_phase_ns(Phase::Taint, 500_000_000);
         report.cache.remote_hits = 4;
