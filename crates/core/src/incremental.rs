@@ -1,9 +1,10 @@
-//! Incremental analysis: the cached counterpart of
-//! [`WapTool::analyze_sources`].
+//! The analysis pipeline, with the incremental cache as an optional input
+//! to each stage. A scan with no store is the same pipeline with every
+//! file a miss: it builds no key, digest or payload.
 //!
-//! A warm run must produce findings **bit-identical** to a cold run at any
-//! job count. The module achieves that by caching exactly the artifacts the
-//! cold pipeline joins on, never intermediate heuristics:
+//! A warm run must produce findings **bit-identical** to an uncached run
+//! at any job count. The module achieves that by caching exactly the
+//! artifacts the stages join on, never intermediate heuristics:
 //!
 //! - **decl entries** — keyed by file *content* only: the declared function
 //!   names and per-function fingerprints (or the parse error). These let a
@@ -22,26 +23,31 @@
 //!
 //! Every payload decoder is total and every validation failure degrades to
 //! a recompute (or, for structural surprises such as duplicate file names,
-//! to a plain cold run) — a corrupted cache can cost time, never
-//! correctness.
+//! to the same pipeline with no store) — a corrupted cache can cost time,
+//! never correctness.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use wap_cache::{CacheStore, CacheTier, CodecError, Reader, Writer};
+use wap_cache::{CacheStatsSnapshot, CacheStore, CacheTier, CodecError, Reader, Writer};
 use wap_mining::{collect, intern_symptom_name, FeatureVector, Prediction};
+use wap_php::ast::Function;
 use wap_php::fingerprint::fields_hash;
 use wap_php::{content_hash, parse, Blake2s, ParseError, Program, Span, Symbol};
 use wap_runtime::Runtime;
 use wap_taint::serial::write_candidate;
 use wap_taint::{
     dedup_and_sort, function_fingerprint, function_refs, pass_candidates, referenced_names,
-    run_pass_incremental_with_resolutions, Candidate, FileResolution, PassArtifacts, PassInput,
+    run_pass, Candidate, FileResolution, PassArtifacts, PassInput,
 };
 
 use wap_obs::{JobHandle, Phase};
 
-use crate::pipeline::{elapsed_ns, scan_stats, AppReport, Finding, ScanOptions, WapTool};
+use crate::pipeline::{
+    elapsed_ns, refine_with_cfg, refine_with_values, scan_stats, AppReport, Finding, ScanArtifacts,
+    ScanOptions, WapTool,
+};
 
 /// Bumped whenever key derivation or any payload layout in this module
 /// changes; combined with the tool version so entries never cross builds.
@@ -385,7 +391,8 @@ fn decode_decl(bytes: &[u8]) -> Result<DeclInfo, CodecError> {
 }
 
 /// One parsed-ok source file in input order — the unit the taint passes
-/// and the findings cache operate on (mirrors the cold path's `parsed`).
+/// and the findings stage operate on. The key material (`hash`, `decls`,
+/// `refs`) stays empty in a scan with no store.
 struct FileMeta {
     /// Index into the original `sources` slice.
     src: usize,
@@ -515,25 +522,26 @@ fn intern(name: &str) -> Result<&'static str, CodecError> {
     intern_symptom_name(name).ok_or_else(|| CodecError(format!("unknown symptom name {name:?}")))
 }
 
+/// Decodes a findings entry into one (prediction, symptoms) pair per
+/// candidate of a group of `n` whose digest is `expected_digest`.
 fn decode_findings(
     bytes: &[u8],
     expected_digest: &str,
-    cands: &[Candidate],
-) -> Result<Vec<Finding>, CodecError> {
+    n: usize,
+) -> Result<Vec<(Prediction, FeatureVector)>, CodecError> {
     let mut r = Reader::new(bytes);
     let digest = r.str()?;
     if digest != expected_digest {
         return Err(CodecError("candidate digest mismatch".into()));
     }
-    let n = r.seq()?;
-    if n != cands.len() {
+    let len = r.seq()?;
+    if len != n {
         return Err(CodecError(format!(
-            "entry has {n} findings, group has {}",
-            cands.len()
+            "entry has {len} findings, group has {n}"
         )));
     }
     let mut out = Vec::with_capacity(n);
-    for c in cands {
+    for _ in 0..n {
         let is_false_positive = r.bool()?;
         let votes = r.usize()?;
         let jn = r.seq()?;
@@ -551,15 +559,12 @@ fn decode_findings(
         for _ in 0..pc {
             present.push(intern(&r.str()?)?);
         }
-        out.push(Finding {
-            candidate: c.clone(),
-            prediction: Prediction {
-                is_false_positive,
-                votes,
-                justification,
-            },
-            symptoms: FeatureVector { features, present },
-        });
+        let prediction = Prediction {
+            is_false_positive,
+            votes,
+            justification,
+        };
+        out.push((prediction, FeatureVector { features, present }));
     }
     if !r.is_empty() {
         return Err(CodecError(format!(
@@ -570,41 +575,421 @@ fn decode_findings(
     Ok(out)
 }
 
-/// Parses every file in `want` that has no program yet, in parallel.
+/// Looks `key` up and decodes its payload, recording a hit, a miss or a
+/// corrupt entry against `file`; a corrupt entry is rejected.
+pub(crate) fn probe<T, E>(
+    store: &CacheStore,
+    key: &str,
+    file: &str,
+    obs: JobHandle<'_>,
+    decode: impl FnOnce(&[u8]) -> Result<T, E>,
+) -> Option<T> {
+    match store.probe(key) {
+        Some((payload, tier)) => match decode(&payload) {
+            Ok(value) => {
+                obs.event_file(hit_event(tier), file);
+                Some(value)
+            }
+            Err(_) => {
+                obs.event_file("cache_corrupt", file);
+                store.reject(key);
+                None
+            }
+        },
+        None => {
+            obs.event_file("cache_miss", file);
+            None
+        }
+    }
+}
+
+/// What every stage of one scan reads.
+struct Scan<'a> {
+    tool: &'a WapTool,
+    /// The cache, when the scan has one: each stage looks its entries up
+    /// and computes only the misses. With none, every file is a miss.
+    store: Option<&'a CacheStore>,
+    sources: &'a [(String, String)],
+    options: &'a ScanOptions,
+    runtime: Runtime,
+    obs: JobHandle<'a>,
+}
+
+/// Wall-clock nanoseconds per phase, summed over the stages.
+#[derive(Default)]
+struct Ns {
+    parse: u64,
+    taint: u64,
+    predict: u64,
+    cache: u64,
+    cfg: u64,
+    values: u64,
+}
+
+/// The key material of a scan with a store.
+struct Keys<'a> {
+    store: &'a CacheStore,
+    config_fp: String,
+    decls: DeclIndex<'a>,
+    /// Per-file dependency digests (extended in values mode).
+    deps: Vec<String>,
+}
+
+/// The analysis pipeline: decl/parse, values (`--values`), taint passes
+/// 1 and 2, guard CFGs (`--guards`), symptoms + vote. With a store, each
+/// stage looks its entries up, computes the misses and stores them. With
+/// none, every file is a miss and no content hash, decl record, digest or
+/// payload is built. Either way the report is byte-identical, and the
+/// programs, CFGs and value facts derived on the way come back for the
+/// lint pass.
+///
+/// Returns `None` when the store turns out unsuitable: duplicate file
+/// names, a decl entry the parser now contradicts, or a pass that reached
+/// a body it did not parse. The caller then runs the pipeline again with
+/// no store, which always completes.
+pub(crate) fn analyze(
+    tool: &WapTool,
+    store: Option<&CacheStore>,
+    sources: &[(String, String)],
+    options: &ScanOptions,
+    obs: JobHandle<'_>,
+) -> Option<(AppReport, ScanArtifacts)> {
+    let start = Instant::now();
+    let alloc_start = wap_obs::allocations_now();
+    let stats_before = store.map(|s| s.stats().snapshot());
+    let scan = Scan {
+        tool,
+        store,
+        sources,
+        options,
+        runtime: tool.runtime(),
+        obs,
+    };
+    let mut ns = Ns::default();
+
+    if store.is_some() {
+        // per-file entries assume names identify files uniquely
+        let mut names = HashSet::new();
+        if !sources.iter().all(|(n, _)| names.insert(n.as_str())) {
+            return None;
+        }
+    }
+
+    let (files, programs, parse_errors) = decl_stage(&scan, &mut ns);
+    // only successfully parsed files count as analyzed LoC
+    let loc = files.iter().map(|f| sources[f.src].1.lines().count()).sum();
+
+    // A file's pass output depends on exactly the canonical declarations
+    // in its dependency closure, so its digest covers that closure and
+    // nothing else: editing one function re-keys only its own file and
+    // the files that can actually observe the change.
+    let mut keys = store.map(|store| {
+        let config_fp = config_fingerprint(tool, options);
+        let t = Instant::now();
+        let decls = DeclIndex::new(&files);
+        let deps = scan.runtime.run(files.len(), |i| {
+            fields_hash(decls.rows(&decls.closure(files[i].seeds())).flatten())
+        });
+        ns.cache += elapsed_ns(t);
+        Keys {
+            store,
+            config_fp,
+            decls,
+            deps,
+        }
+    });
+    let file_index: HashMap<&str, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
+
+    let keyed = keys.as_ref();
+    let mut values = None;
+    if options.values {
+        values = Some(values_stage(&scan, &files, &programs, keyed, &mut ns)?);
+    }
+    // the taint engine's resolution view: only files with at least one
+    // resolved include or call appear
+    let resolutions: HashMap<String, FileResolution> = values
+        .as_ref()
+        .map(|v| {
+            (0..files.len())
+                .filter_map(|i| {
+                    let r = v.resolution(i);
+                    (!r.includes.is_empty() || !r.calls.is_empty()).then(|| {
+                        let view = FileResolution {
+                            includes: r.includes.iter().map(|(k, v)| (*k, v.clone())).collect(),
+                            calls: r.calls.iter().map(|(k, v)| (*k, v.clone())).collect(),
+                        };
+                        (files[i].name.clone(), view)
+                    })
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    // files some resolved include points at: parsed alongside any pass
+    // miss so inlined include execution matches an uncached run
+    let mut include_targets: Vec<usize> = Vec::new();
+    if let (Some(k), Some(v)) = (&mut keys, &values) {
+        let set: BTreeSet<usize> = (0..files.len())
+            .flat_map(|i| v.resolution(i).includes.values())
+            .flatten()
+            .filter_map(|t| file_index.get(t.as_str()).copied())
+            .collect();
+        include_targets = set.into_iter().collect();
+        let t = Instant::now();
+        k.deps = values_deps(&scan, &files, &file_index, k, v);
+        ns.cache += elapsed_ns(t);
+    }
+
+    // ---- taint passes ----
+    // each program's declarations are walked once, for both passes
+    let functions: Vec<OnceLock<Vec<&Function>>> = files.iter().map(|_| OnceLock::new()).collect();
+    let taint = TaintInputs {
+        files: &files,
+        programs: &programs,
+        functions: &functions,
+        resolutions: &resolutions,
+        include_targets: &include_targets,
+    };
+    let p1 = taint_pass(&scan, &taint, keys.as_ref(), false, &mut ns)?;
+    let ran_pass2 = tool.config.analysis.second_order && p1.iter().any(PassArtifacts::store_seen);
+    let mut candidates = pass_candidates(&p1);
+    drop(p1);
+    if ran_pass2 {
+        let p2 = taint_pass(&scan, &taint, keys.as_ref(), true, &mut ns)?;
+        candidates.extend(pass_candidates(&p2));
+    }
+    let candidates = dedup_and_sort(candidates);
+
+    let (findings, cfgs) = findings_stage(
+        &scan,
+        &files,
+        &programs,
+        keys.as_ref(),
+        &file_index,
+        values.as_mut(),
+        candidates,
+        ran_pass2,
+        &mut ns,
+    )?;
+
+    let (edges_resolved, edges_unresolved) = values.as_ref().map_or((0, 0), |v| {
+        (0..files.len()).fold((0, 0), |(res, unres), i| {
+            let (a, b) = v.resolution(i).edge_counts();
+            (res + a, unres + b)
+        })
+    });
+    let mut stats = scan_stats(obs, ns.parse, ns.taint, ns.predict, ns.cache);
+    stats.set_phase_ns(Phase::Cfg, ns.cfg);
+    if values.is_some() {
+        stats.set_phase_ns(Phase::Values, ns.values);
+    }
+    stats.allocations = wap_obs::allocations_now().saturating_sub(alloc_start);
+    stats.peak_rss_bytes = wap_obs::peak_rss_bytes();
+    let report = AppReport {
+        findings,
+        files_analyzed: files.len(),
+        loc,
+        parse_errors,
+        duration: start.elapsed(),
+        stats,
+        cache: store
+            .zip(stats_before.as_ref())
+            .map_or_else(CacheStatsSnapshot::default, |(s, before)| {
+                s.stats().snapshot().since(before)
+            }),
+        lint_ran: false,
+        lint: Vec::new(),
+        lint_rules: Vec::new(),
+        values_ran: values.is_some(),
+        dynamic_edges_resolved: edges_resolved,
+        dynamic_edges_unresolved: edges_unresolved,
+        tool_name: wap_report::TOOL_NAME,
+        tool_version: wap_report::TOOL_VERSION,
+    };
+
+    // what was derived, by source index, for the lint pass
+    let n = sources.len();
+    let mut artifacts = ScanArtifacts {
+        programs: (0..n).map(|_| None).collect(),
+        parse_failed: vec![true; n],
+        cfgs: (0..n).map(|_| None).collect(),
+        values: None,
+    };
+    for ((f, program), cfgs) in files.iter().zip(programs).zip(cfgs) {
+        artifacts.parse_failed[f.src] = false;
+        artifacts.programs[f.src] = program.into_inner();
+        artifacts.cfgs[f.src] = cfgs;
+    }
+    if let Some(v) = values.filter(|v| v.facts.iter().all(Option::is_some)) {
+        let facts = files
+            .iter()
+            .zip(v.facts)
+            .map(|(f, fv)| (f.name.clone(), fv.expect("checked")));
+        artifacts.values = Some(facts.collect());
+    }
+    Some((report, artifacts))
+}
+
+/// The decl/parse stage. With a store, each file's decl entry (its
+/// declarations, or its parse error) is looked up by content hash and
+/// only the misses are parsed; with none, every file is parsed. Returns
+/// the parsed files in input order, the programs parsed so far, and the
+/// parse errors.
+#[allow(clippy::type_complexity)]
+fn decl_stage(
+    scan: &Scan<'_>,
+    ns: &mut Ns,
+) -> (
+    Vec<FileMeta>,
+    Vec<OnceLock<Program>>,
+    Vec<(String, ParseError)>,
+) {
+    let sources = scan.sources;
+    let (mut hashes, mut infos): (Vec<String>, Vec<Option<DeclInfo>>) = match scan.store {
+        Some(store) => {
+            let t = Instant::now();
+            let hashes: Vec<String> = scan
+                .runtime
+                .run(sources.len(), |i| content_hash(&sources[i].1));
+            let infos = hashes
+                .iter()
+                .zip(sources)
+                .map(|(h, (name, _))| probe(store, &decl_key(h), name, scan.obs, decode_decl))
+                .collect();
+            ns.cache += elapsed_ns(t);
+            (hashes, infos)
+        }
+        None => (Vec::new(), sources.iter().map(|_| None).collect()),
+    };
+
+    let miss: Vec<usize> = (0..sources.len()).filter(|&i| infos[i].is_none()).collect();
+    let t = Instant::now();
+    let parsed = scan.runtime.map(miss.clone(), |_, i| {
+        let _span = scan.obs.span_file(Phase::Parse, &sources[i].0);
+        parse(&sources[i].1)
+    });
+    ns.parse += elapsed_ns(t);
+
+    let mut programs: Vec<Option<Program>> = sources.iter().map(|_| None).collect();
+    let t = Instant::now();
+    for (&i, result) in miss.iter().zip(parsed) {
+        let info = match result {
+            Ok(program) => {
+                // declarations are key material: a scan with no store
+                // records none
+                let info = match scan.store {
+                    Some(_) => decl_info(&sources[i].1, &program),
+                    None => DeclInfo::Decls {
+                        decls: Vec::new(),
+                        refs: Vec::new(),
+                    },
+                };
+                programs[i] = Some(program);
+                info
+            }
+            Err(e) => DeclInfo::Unparsed {
+                message: e.message().to_string(),
+                span: e.span(),
+            },
+        };
+        if let Some(store) = scan.store {
+            store.put(&decl_key(&hashes[i]), encode_decl(&info));
+        }
+        infos[i] = Some(info);
+    }
+    if scan.store.is_some() {
+        ns.cache += elapsed_ns(t);
+    }
+
+    let mut files = Vec::new();
+    let mut parsed = Vec::new();
+    let mut parse_errors = Vec::new();
+    for (i, (info, program)) in infos.into_iter().zip(programs).enumerate() {
+        let name = sources[i].0.clone();
+        match info.expect("decl info resolved above") {
+            DeclInfo::Decls { decls, refs } => {
+                let hash = hashes.get_mut(i).map(std::mem::take).unwrap_or_default();
+                files.push(FileMeta {
+                    src: i,
+                    name,
+                    hash,
+                    decls,
+                    refs,
+                });
+                parsed.push(program.map_or_else(OnceLock::new, OnceLock::from));
+            }
+            DeclInfo::Unparsed { message, span } => {
+                parse_errors.push((name, ParseError::new(message, span)));
+            }
+        }
+    }
+    (files, parsed, parse_errors)
+}
+
+/// A parsed file's decl entry: its declarations with their fingerprints
+/// and call targets, and every call target it references.
+fn decl_info(src: &str, program: &Program) -> DeclInfo {
+    let decls = program
+        .functions()
+        .into_iter()
+        .map(|f| DeclRecord {
+            name: f.name.lower().as_str().to_string(),
+            fp: function_fingerprint(src, f),
+            refs: function_refs(f)
+                .into_iter()
+                .map(|r| r.as_str().to_string())
+                .collect(),
+        })
+        .collect();
+    let refs = referenced_names(program)
+        .into_iter()
+        .map(|r| r.as_str().to_string())
+        .collect();
+    DeclInfo::Decls { decls, refs }
+}
+
+/// Parses every file in `want` that has no program yet, in parallel. A
+/// scan with no store parsed every file up front, so it never gets here
+/// with work to do.
 ///
 /// Returns `None` when a file the decl cache recorded as parseable fails
 /// to parse — the entry lied (hand-edited, hash collision); it is
-/// rejected and the whole run falls back to the cold path.
-#[allow(clippy::too_many_arguments)]
+/// rejected and the scan re-runs with no store.
 fn ensure_parsed(
-    runtime: &Runtime,
-    store: &CacheStore,
-    sources: &[(String, String)],
+    scan: &Scan<'_>,
     files: &[FileMeta],
-    programs: &mut [Option<Program>],
+    programs: &[OnceLock<Program>],
     want: &[usize],
-    parse_ns: &mut u64,
-    obs: JobHandle<'_>,
+    ns: &mut Ns,
 ) -> Option<()> {
-    let need: Vec<usize> = want
+    let mut need: Vec<usize> = want
         .iter()
         .copied()
-        .filter(|&i| programs[i].is_none())
+        .filter(|&i| programs[i].get().is_none())
         .collect();
+    need.sort_unstable();
+    need.dedup();
     if need.is_empty() {
         return Some(());
     }
     let t = Instant::now();
-    let results = runtime.map(need.clone(), |_, i| {
-        let _span = obs.span_file(Phase::Parse, &files[i].name);
-        parse(&sources[files[i].src].1)
+    let results = scan.runtime.map(need.clone(), |_, i| {
+        let _span = scan.obs.span_file(Phase::Parse, &files[i].name);
+        parse(&scan.sources[files[i].src].1)
     });
-    *parse_ns += elapsed_ns(t);
+    ns.parse += elapsed_ns(t);
     for (&i, result) in need.iter().zip(results) {
         match result {
-            Ok(p) => programs[i] = Some(p),
+            Ok(p) => {
+                let _ = programs[i].set(p);
+            }
             Err(_) => {
-                store.reject(&decl_key(&files[i].hash));
+                if let Some(store) = scan.store {
+                    store.reject(&decl_key(&files[i].hash));
+                }
                 return None;
             }
         }
@@ -613,34 +998,43 @@ fn ensure_parsed(
 }
 
 /// The value stage's products (`--values`), shared by the taint-pass and
-/// findings stages of a cached run.
-struct ValuesState {
-    /// Per-file resolution facts, index-aligned with the run's `files`.
-    per_file: Vec<wap_cfg::ValueResolution>,
-    /// Full value facts (snapshots included) for files analyzed fresh
-    /// this run; hit files re-derive them only if a findings group needs
-    /// sink contexts.
-    file_values: HashMap<usize, wap_cfg::FileValues>,
+/// findings stages.
+struct Values {
+    /// Full value facts (snapshots included) by file index, for the files
+    /// interpreted this scan.
+    facts: Vec<Option<wap_cfg::FileValues>>,
+    /// Resolution facts replayed from the cache, by file index.
+    replayed: Vec<Option<wap_cfg::ValueResolution>>,
     /// Merged function value summaries, once some stage computed them.
     summaries: Option<HashMap<Symbol, wap_cfg::ValueSummary>>,
     /// Scan-set file names — the include-resolution target universe.
     known: BTreeSet<String>,
 }
 
+impl Values {
+    /// File `i`'s resolution facts, interpreted or replayed.
+    fn resolution(&self, i: usize) -> &wap_cfg::ValueResolution {
+        match &self.facts[i] {
+            Some(fv) => &fv.resolution,
+            None => self.replayed[i].as_ref().expect("interpreted or replayed"),
+        }
+    }
+}
+
 /// Merges per-file value summaries first-declaration-wins in file order —
-/// the same canonical owner rule the taint function index applies. Files
-/// without declarations contribute nothing, so only decl-bearing files
-/// need programs.
-fn compute_value_summaries(
+/// the same canonical owner rule the taint function index applies.
+/// `program(i)` is file `i`'s program; a file without one must declare
+/// nothing.
+pub(crate) fn compute_value_summaries<'p>(
     runtime: &Runtime,
-    files: &[FileMeta],
-    programs: &[Option<Program>],
+    n: usize,
+    program: impl Fn(usize) -> Option<&'p Program> + Sync,
 ) -> HashMap<Symbol, wap_cfg::ValueSummary> {
-    let lists: Vec<Vec<(Symbol, wap_cfg::ValueSummary)>> =
-        runtime.run(files.len(), |i| match &programs[i] {
-            Some(p) if !files[i].decls.is_empty() => wap_cfg::summarize_values(p),
-            _ => Vec::new(),
-        });
+    let lists: Vec<Vec<(Symbol, wap_cfg::ValueSummary)>> = runtime.run(n, |i| {
+        program(i)
+            .map(wap_cfg::summarize_values)
+            .unwrap_or_default()
+    });
     let mut summaries = HashMap::new();
     for list in lists {
         for (name, s) in list {
@@ -650,755 +1044,438 @@ fn compute_value_summaries(
     summaries
 }
 
-/// Looks up every file's `values` entry, re-interprets only the misses
-/// (which needs the merged summaries, hence every decl-bearing program),
-/// and writes fresh resolution facts back. A hit whose dynamic-call
+/// The value stage. With a store, every file's `values` entry is looked
+/// up and only the misses are interpreted, their resolution facts written
+/// back; with none, every file is interpreted. A hit whose dynamic-call
 /// targets' declarations changed since it was written is stale, and
-/// re-interpreted like a miss.
-#[allow(clippy::too_many_arguments)]
-fn run_values_cached(
-    store: &CacheStore,
-    runtime: &Runtime,
-    sources: &[(String, String)],
+/// interpreted like a miss.
+fn values_stage(
+    scan: &Scan<'_>,
     files: &[FileMeta],
-    decls: &DeclIndex<'_>,
-    programs: &mut [Option<Program>],
-    deps_digests: &[String],
-    config_fp: &str,
-    parse_ns: &mut u64,
-    values_ns: &mut u64,
-    cache_ns: &mut u64,
-    obs: JobHandle<'_>,
-) -> Option<ValuesState> {
-    let scanset = fields_hash(files.iter().map(|f| f.name.as_str()));
-    let keys: Vec<String> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| values_key(&f.name, &f.hash, &scanset, &deps_digests[i], config_fp))
-        .collect();
-    let t = Instant::now();
-    let mut cached: Vec<Option<wap_cfg::ValueResolution>> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| match store.probe(k) {
-            Some((p, tier)) => match decode_values(&p) {
-                Ok((calls_digest, r)) if calls_digest == decls.calls_digest(&r) => {
-                    obs.event_file(hit_event(tier), &files[i].name);
-                    Some(r)
-                }
-                Ok(_) => {
-                    obs.event_file("cache_stale", &files[i].name);
-                    None
-                }
-                Err(_) => {
-                    obs.event_file("cache_corrupt", &files[i].name);
-                    store.reject(k);
-                    None
-                }
-            },
-            None => {
-                obs.event_file("cache_miss", &files[i].name);
-                None
-            }
-        })
-        .collect();
-    *cache_ns += elapsed_ns(t);
-
-    let mut state = ValuesState {
-        per_file: vec![wap_cfg::ValueResolution::default(); files.len()],
-        file_values: HashMap::new(),
+    programs: &[OnceLock<Program>],
+    keys: Option<&Keys<'_>>,
+    ns: &mut Ns,
+) -> Option<Values> {
+    let mut v = Values {
+        facts: files.iter().map(|_| None).collect(),
+        replayed: files.iter().map(|_| None).collect(),
         summaries: None,
         known: files.iter().map(|f| f.name.clone()).collect(),
     };
-    let miss: Vec<usize> = cached
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    if !miss.is_empty() {
-        let want: Vec<usize> = files
+    let mut entry_keys = Vec::new();
+    if let Some(k) = keys {
+        let scanset = fields_hash(files.iter().map(|f| f.name.as_str()));
+        entry_keys = files
             .iter()
             .enumerate()
-            .filter(|(i, f)| cached[*i].is_none() || !f.decls.is_empty())
-            .map(|(i, _)| i)
+            .map(|(i, f)| values_key(&f.name, &f.hash, &scanset, &k.deps[i], &k.config_fp))
             .collect();
-        ensure_parsed(
-            runtime, store, sources, files, programs, &want, parse_ns, obs,
-        )?;
         let t = Instant::now();
-        let summaries = compute_value_summaries(runtime, files, programs);
-        let computed: Vec<wap_cfg::FileValues> = runtime.map(miss.clone(), |_, i| {
-            let _span = obs.span_file(Phase::Values, &files[i].name);
-            wap_cfg::analyze_file_values(
-                &files[i].name,
-                programs[i].as_ref().expect("parsed for values"),
-                &summaries,
-                &state.known,
-            )
-        });
-        *values_ns += elapsed_ns(t);
-        let t = Instant::now();
-        for (&i, fv) in miss.iter().zip(computed) {
-            let calls_digest = decls.calls_digest(&fv.resolution);
-            store.put(&keys[i], encode_values(&calls_digest, &fv.resolution));
-            state.per_file[i] = fv.resolution.clone();
-            state.file_values.insert(i, fv);
-        }
-        *cache_ns += elapsed_ns(t);
-        state.summaries = Some(summaries);
-    }
-    for (i, c) in cached.iter_mut().enumerate() {
-        if let Some(r) = c.take() {
-            state.per_file[i] = r;
-        }
-    }
-    Some(state)
-}
-
-/// Looks up one pass's artifacts for every file, re-analyzes only the
-/// misses (parsing exactly the files the incremental contract requires),
-/// and writes fresh artifacts back.
-#[allow(clippy::too_many_arguments)]
-fn run_cached_pass(
-    tool: &WapTool,
-    store: &CacheStore,
-    runtime: &Runtime,
-    sources: &[(String, String)],
-    files: &[FileMeta],
-    decls: &DeclIndex<'_>,
-    programs: &mut [Option<Program>],
-    deps_digests: &[String],
-    config_fp: &str,
-    resolutions: &HashMap<String, FileResolution>,
-    include_targets: &[usize],
-    second: bool,
-    parse_ns: &mut u64,
-    taint_ns: &mut u64,
-    cache_ns: &mut u64,
-    obs: JobHandle<'_>,
-) -> Option<Vec<PassArtifacts>> {
-    let t = Instant::now();
-    let keys: Vec<String> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| pass_key(second, &f.name, &f.hash, &deps_digests[i], config_fp))
-        .collect();
-    let mut cached: Vec<Option<PassArtifacts>> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| match store.probe(k) {
-            Some((p, tier)) => match PassArtifacts::from_bytes(&p) {
-                Ok(a) => {
-                    obs.event_file(hit_event(tier), &files[i].name);
-                    Some(a)
-                }
-                Err(_) => {
-                    obs.event_file("cache_corrupt", &files[i].name);
-                    store.reject(k);
+        for (i, key) in entry_keys.iter().enumerate() {
+            let name = &files[i].name;
+            v.replayed[i] = match k.store.probe(key) {
+                Some((p, tier)) => match decode_values(&p) {
+                    Ok((calls_digest, r)) if calls_digest == k.decls.calls_digest(&r) => {
+                        scan.obs.event_file(hit_event(tier), name);
+                        Some(r)
+                    }
+                    Ok(_) => {
+                        scan.obs.event_file("cache_stale", name);
+                        None
+                    }
+                    Err(_) => {
+                        scan.obs.event_file("cache_corrupt", name);
+                        k.store.reject(key);
+                        None
+                    }
+                },
+                None => {
+                    scan.obs.event_file("cache_miss", name);
                     None
                 }
-            },
-            None => {
-                obs.event_file("cache_miss", &files[i].name);
-                None
-            }
-        })
-        .collect();
-    *cache_ns += elapsed_ns(t);
-
-    let fresh: Vec<usize> = (0..files.len()).filter(|&i| cached[i].is_none()).collect();
-    if !fresh.is_empty() {
-        // fresh files must be parsed; so must the canonical owner of
-        // every declaration in their dependency closure, the only foreign
-        // bodies phase A's lazy walks reach (phase B reads only merged
-        // summaries) — and, with value analysis on, every resolved
-        // include target, so inlined include execution sees the same
-        // programs a cold run does
-        let seen = decls.closure(fresh.iter().flat_map(|&i| files[i].seeds()));
-        let mut want: BTreeSet<usize> = fresh.iter().copied().collect();
-        want.extend(
-            seen.iter()
-                .filter_map(|n| decls.canon.get(n).map(|c| c.owner)),
-        );
-        want.extend(include_targets);
-        let want: Vec<usize> = want.into_iter().collect();
-        ensure_parsed(
-            runtime, store, sources, files, programs, &want, parse_ns, obs,
-        )?;
+            };
+        }
+        ns.cache += elapsed_ns(t);
     }
 
+    let miss: Vec<usize> = (0..files.len())
+        .filter(|&i| v.replayed[i].is_none())
+        .collect();
+    if !miss.is_empty() {
+        derive_values(scan, files, programs, &mut v, &miss, ns)?;
+        if let Some(k) = keys {
+            let t = Instant::now();
+            for &i in &miss {
+                let r = v.resolution(i);
+                k.store
+                    .put(&entry_keys[i], encode_values(&k.decls.calls_digest(r), r));
+            }
+            ns.cache += elapsed_ns(t);
+        }
+    }
+    Some(v)
+}
+
+/// Interprets the `todo` files over the value lattice, first merging the
+/// function value summaries if no earlier stage did — which needs every
+/// decl-bearing program.
+fn derive_values(
+    scan: &Scan<'_>,
+    files: &[FileMeta],
+    programs: &[OnceLock<Program>],
+    v: &mut Values,
+    todo: &[usize],
+    ns: &mut Ns,
+) -> Option<()> {
+    let mut want = todo.to_vec();
+    if v.summaries.is_none() {
+        want.extend((0..files.len()).filter(|&i| !files[i].decls.is_empty()));
+    }
+    ensure_parsed(scan, files, programs, &want, ns)?;
+    let t = Instant::now();
+    let summaries: &HashMap<_, _> = v.summaries.get_or_insert_with(|| {
+        compute_value_summaries(&scan.runtime, programs.len(), |i| programs[i].get())
+    });
+    let known = &v.known;
+    let computed = scan.runtime.map(todo.to_vec(), |_, i| {
+        let _span = scan.obs.span_file(Phase::Values, &files[i].name);
+        let program = programs[i].get().expect("parsed for values");
+        wap_cfg::analyze_file_values(&files[i].name, program, summaries, known)
+    });
+    ns.values += elapsed_ns(t);
+    for (&i, fv) in todo.iter().zip(computed) {
+        v.facts[i] = Some(fv);
+    }
+    Some(())
+}
+
+/// With value analysis on, a file's pass output additionally depends on
+/// everything a resolved edge lets it observe: the contents (and
+/// dependency digests) of its transitive include targets, and the
+/// declaration closures of every resolved dynamic-call target in that
+/// include closure. Returns the dependency digests extended accordingly;
+/// value-less scans keep the base digests (their key space is disjoint
+/// anyway via the config fingerprint).
+fn values_deps(
+    scan: &Scan<'_>,
+    files: &[FileMeta],
+    file_index: &HashMap<&str, usize>,
+    keys: &Keys<'_>,
+    v: &Values,
+) -> Vec<String> {
+    scan.runtime.run(files.len(), |i| {
+        let mut visited: BTreeSet<usize> = BTreeSet::new();
+        visited.insert(i);
+        let mut work = vec![i];
+        while let Some(fi) = work.pop() {
+            for targets in v.resolution(fi).includes.values() {
+                for t in targets {
+                    if let Some(&ti) = file_index.get(t.as_str()) {
+                        if visited.insert(ti) {
+                            work.push(ti);
+                        }
+                    }
+                }
+            }
+        }
+        let call_seen = keys.decls.closure(
+            visited
+                .iter()
+                .flat_map(|&fi| v.resolution(fi).calls.values().flatten())
+                .map(|t| lower(t)),
+        );
+        let mut fields: Vec<String> = vec![keys.deps[i].clone()];
+        for &fi in &visited {
+            if fi == i {
+                continue;
+            }
+            fields.push(files[fi].name.clone());
+            fields.push(files[fi].hash.clone());
+            fields.push(keys.deps[fi].clone());
+        }
+        fields.extend(keys.decls.rows(&call_seen).flatten().map(str::to_string));
+        fields_hash(fields)
+    })
+}
+
+/// What both taint passes read.
+struct TaintInputs<'s, 'p> {
+    files: &'s [FileMeta],
+    programs: &'p [OnceLock<Program>],
+    /// Each program's [`Program::functions`], walked once for both passes.
+    functions: &'s [OnceLock<Vec<&'p Function>>],
+    resolutions: &'s HashMap<String, FileResolution>,
+    /// Files some resolved include points at.
+    include_targets: &'s [usize],
+}
+
+/// One taint pass. With a store, every file's pass entry is looked up and
+/// only the misses are analyzed — parsing exactly the files the
+/// incremental contract requires — and their artifacts written back; with
+/// none, every file is analyzed.
+fn taint_pass(
+    scan: &Scan<'_>,
+    t_in: &TaintInputs<'_, '_>,
+    keys: Option<&Keys<'_>>,
+    second: bool,
+    ns: &mut Ns,
+) -> Option<Vec<PassArtifacts>> {
+    let (files, programs) = (t_in.files, t_in.programs);
+    let mut entry_keys = Vec::new();
+    let mut cached: Vec<Option<PassArtifacts>> = files.iter().map(|_| None).collect();
+    if let Some(k) = keys {
+        let t = Instant::now();
+        entry_keys = files
+            .iter()
+            .enumerate()
+            .map(|(i, f)| pass_key(second, &f.name, &f.hash, &k.deps[i], &k.config_fp))
+            .collect();
+        for (i, key) in entry_keys.iter().enumerate() {
+            cached[i] = probe(k.store, key, &files[i].name, scan.obs, |p| {
+                PassArtifacts::from_bytes(p)
+            });
+        }
+        ns.cache += elapsed_ns(t);
+
+        let fresh: Vec<usize> = (0..files.len()).filter(|&i| cached[i].is_none()).collect();
+        if !fresh.is_empty() {
+            // fresh files must be parsed; so must the canonical owner of
+            // every declaration in their dependency closure, the only
+            // foreign bodies phase A's lazy walks reach (phase B reads only
+            // merged summaries) — and, with value analysis on, every
+            // resolved include target, so inlined include execution sees
+            // the same programs an uncached run does
+            let seen = k
+                .decls
+                .closure(fresh.iter().flat_map(|&i| files[i].seeds()));
+            let mut want = fresh;
+            want.extend(
+                seen.iter()
+                    .filter_map(|n| k.decls.canon.get(n).map(|c| c.owner)),
+            );
+            want.extend(t_in.include_targets);
+            ensure_parsed(scan, files, programs, &want, ns)?;
+        }
+    }
+
+    let functions: Vec<&[&Function]> = (0..files.len())
+        .map(|i| match programs[i].get() {
+            Some(p) => t_in.functions[i].get_or_init(|| p.functions()).as_slice(),
+            None => &[],
+        })
+        .collect();
     let inputs: Vec<PassInput<'_>> = files
         .iter()
         .enumerate()
         .map(|(i, f)| PassInput {
             name: f.name.clone(),
-            program: programs[i].as_ref(),
-            decl_names: f.decls.iter().map(|d| Symbol::intern(&d.name)).collect(),
+            program: programs[i].get(),
+            decl_names: match programs[i].get() {
+                Some(_) => functions[i].iter().map(|func| func.name.lower()).collect(),
+                None => f.decls.iter().map(|d| Symbol::intern(&d.name)).collect(),
+            },
             cached: cached[i].take(),
         })
         .collect();
 
     let t = Instant::now();
-    let outcome = run_pass_incremental_with_resolutions(
-        &tool.catalog,
-        &tool.config.analysis,
+    let outcome = run_pass(
+        &scan.tool.catalog,
+        &scan.tool.config.analysis,
         &inputs,
-        resolutions,
-        runtime,
+        &functions,
+        t_in.resolutions,
+        &scan.runtime,
         second,
-        obs,
+        scan.obs,
     );
-    *taint_ns += elapsed_ns(t);
+    ns.taint += elapsed_ns(t);
     if outcome.missing_body {
         // the parse set above missed a body the pass needed: never
         // store or return artifacts built on a stand-in summary
         return None;
     }
 
-    let t = Instant::now();
-    for (i, is_fresh) in outcome.fresh.iter().enumerate() {
-        if *is_fresh {
-            store.put(&keys[i], outcome.artifacts[i].to_bytes());
+    if let Some(k) = keys {
+        let t = Instant::now();
+        for (i, is_fresh) in outcome.fresh.iter().enumerate() {
+            if *is_fresh {
+                k.store.put(&entry_keys[i], outcome.artifacts[i].to_bytes());
+            }
         }
+        ns.cache += elapsed_ns(t);
     }
-    *cache_ns += elapsed_ns(t);
     Some(outcome.artifacts)
 }
 
-/// The cached pipeline. Returns `None` when the input or the cache turns
-/// out unsuitable (duplicate file names, a decl entry contradicting the
-/// parser, a candidate without a file) — the caller then runs cold.
-pub(crate) fn analyze_sources_cached(
-    tool: &WapTool,
-    store: &CacheStore,
-    sources: &[(String, String)],
-    options: &ScanOptions,
-    obs: JobHandle<'_>,
-) -> Option<AppReport> {
-    let start = Instant::now();
-    let alloc_start = wap_obs::allocations_now();
-    let runtime = tool.runtime();
-    let stats_before = store.stats().snapshot();
-    let mut parse_ns = 0u64;
-    let mut taint_ns = 0u64;
-    let mut predict_ns = 0u64;
-    let mut cache_ns = 0u64;
-    let mut cfg_ns = 0u64;
-    let mut values_ns = 0u64;
-
-    // per-file grouping assumes names identify files uniquely
-    {
-        let mut names = HashSet::new();
-        if !sources.iter().all(|(n, _)| names.insert(n.as_str())) {
-            return None;
-        }
-    }
-
-    let config_fp = config_fingerprint(tool, options);
-
-    // ---- decl stage: content hash every file, learn its declarations ----
-    let t = Instant::now();
-    let hashes: Vec<String> = runtime.run(sources.len(), |i| content_hash(&sources[i].1));
-    let decl_keys: Vec<String> = hashes.iter().map(|h| decl_key(h)).collect();
-    let mut infos: Vec<Option<DeclInfo>> = decl_keys
-        .iter()
-        .enumerate()
-        .map(|(i, key)| match store.probe(key) {
-            Some((payload, tier)) => match decode_decl(&payload) {
-                Ok(info) => {
-                    obs.event_file(hit_event(tier), &sources[i].0);
-                    Some(info)
-                }
-                Err(_) => {
-                    obs.event_file("cache_corrupt", &sources[i].0);
-                    store.reject(key);
-                    None
-                }
-            },
-            None => {
-                obs.event_file("cache_miss", &sources[i].0);
-                None
-            }
-        })
-        .collect();
-    cache_ns += elapsed_ns(t);
-
-    let miss: Vec<usize> = infos
-        .iter()
-        .enumerate()
-        .filter(|(_, x)| x.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    let t = Instant::now();
-    let parsed_miss: Vec<Result<Program, ParseError>> = runtime.map(miss.clone(), |_, i| {
-        let _span = obs.span_file(Phase::Parse, &sources[i].0);
-        parse(&sources[i].1)
-    });
-    parse_ns += elapsed_ns(t);
-
-    let mut programs_by_src: Vec<Option<Program>> = (0..sources.len()).map(|_| None).collect();
-    let t = Instant::now();
-    for (&i, result) in miss.iter().zip(parsed_miss) {
-        let info = match result {
-            Ok(program) => {
-                let decls = program
-                    .functions()
-                    .into_iter()
-                    .map(|f| DeclRecord {
-                        name: f.name.lower().as_str().to_string(),
-                        fp: function_fingerprint(&sources[i].1, f),
-                        refs: function_refs(f)
-                            .into_iter()
-                            .map(|r| r.as_str().to_string())
-                            .collect(),
-                    })
-                    .collect();
-                let refs = referenced_names(&program)
-                    .into_iter()
-                    .map(|r| r.as_str().to_string())
-                    .collect();
-                programs_by_src[i] = Some(program);
-                DeclInfo::Decls { decls, refs }
-            }
-            Err(e) => DeclInfo::Unparsed {
-                message: e.message().to_string(),
-                span: e.span(),
-            },
-        };
-        store.put(&decl_keys[i], encode_decl(&info));
-        infos[i] = Some(info);
-    }
-    cache_ns += elapsed_ns(t);
-
-    // ---- split into parsed-ok files (analysis inputs) and parse errors ----
-    let mut parse_errors: Vec<(String, ParseError)> = Vec::new();
-    let mut loc = 0usize;
-    let mut files: Vec<FileMeta> = Vec::new();
-    let mut programs: Vec<Option<Program>> = Vec::new();
-    for (i, info) in infos.iter().enumerate() {
-        match info.as_ref().expect("decl info resolved above") {
-            DeclInfo::Decls { decls, refs } => {
-                // only successfully parsed files count as analyzed LoC
-                loc += sources[i].1.lines().count();
-                files.push(FileMeta {
-                    src: i,
-                    name: sources[i].0.clone(),
-                    hash: hashes[i].clone(),
-                    decls: decls.clone(),
-                    refs: refs.clone(),
-                });
-                programs.push(programs_by_src[i].take());
-            }
-            DeclInfo::Unparsed { message, span } => {
-                parse_errors.push((
-                    sources[i].0.clone(),
-                    ParseError::new(message.clone(), *span),
-                ));
-            }
-        }
-    }
-
-    // ---- per-file dependency digests ----
-    // A file's pass output depends on exactly the canonical declarations
-    // in its dependency closure, so its digest covers that closure and
-    // nothing else: editing one function re-keys only its own file and
-    // the files that can actually observe the change.
-    let t = Instant::now();
-    let decls = DeclIndex::new(&files);
-    let deps_digests: Vec<String> = runtime.run(files.len(), |i| {
-        fields_hash(decls.rows(&decls.closure(files[i].seeds())).flatten())
-    });
-    cache_ns += elapsed_ns(t);
-
-    let file_index: HashMap<&str, usize> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-
-    // ---- value analysis (`--values`): cached per-file resolutions ----
-    let mut values_state = if options.values {
-        Some(run_values_cached(
-            store,
-            &runtime,
-            sources,
-            &files,
-            &decls,
-            &mut programs,
-            &deps_digests,
-            &config_fp,
-            &mut parse_ns,
-            &mut values_ns,
-            &mut cache_ns,
-            obs,
-        )?)
-    } else {
-        None
-    };
-
-    // the taint engine's resolution view: only files with at least one
-    // resolved include or call appear (mirrors the cold path)
-    let taint_resolutions: HashMap<String, FileResolution> = values_state
-        .as_ref()
-        .map(|vs| {
-            vs.per_file
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| !r.includes.is_empty() || !r.calls.is_empty())
-                .map(|(i, r)| {
-                    (
-                        files[i].name.clone(),
-                        FileResolution {
-                            includes: r.includes.iter().map(|(k, v)| (*k, v.clone())).collect(),
-                            calls: r.calls.iter().map(|(k, v)| (*k, v.clone())).collect(),
-                        },
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    // files some resolved include points at: parsed alongside any pass
-    // miss so inlined include execution matches a cold run
-    let include_targets: Vec<usize> = values_state
-        .as_ref()
-        .map(|vs| {
-            let set: BTreeSet<usize> = vs
-                .per_file
-                .iter()
-                .flat_map(|r| r.includes.values())
-                .flatten()
-                .filter_map(|t| file_index.get(t.as_str()).copied())
-                .collect();
-            set.into_iter().collect()
-        })
-        .unwrap_or_default();
-
-    // With value analysis on, a file's pass output additionally depends
-    // on everything a resolved edge lets it observe: the contents (and
-    // dependency digests) of its transitive include targets, and the
-    // declaration closures of every resolved dynamic-call target in that
-    // include closure. Extend the digests keying pass and findings
-    // entries accordingly; value-less runs keep the base digests (their
-    // key space is disjoint anyway via the config fingerprint).
-    let deps_digests: Vec<String> = if let Some(vs) = &values_state {
-        let t = Instant::now();
-        let extended = runtime.run(files.len(), |i| {
-            let mut visited: BTreeSet<usize> = BTreeSet::new();
-            visited.insert(i);
-            let mut work = vec![i];
-            while let Some(fi) = work.pop() {
-                for targets in vs.per_file[fi].includes.values() {
-                    for t in targets {
-                        if let Some(&ti) = file_index.get(t.as_str()) {
-                            if visited.insert(ti) {
-                                work.push(ti);
-                            }
-                        }
-                    }
-                }
-            }
-            let call_seen = decls.closure(
-                visited
-                    .iter()
-                    .flat_map(|&fi| vs.per_file[fi].calls.values().flatten())
-                    .map(|t| lower(t)),
-            );
-            let mut fields: Vec<String> = vec![deps_digests[i].clone()];
-            for &fi in &visited {
-                if fi == i {
-                    continue;
-                }
-                fields.push(files[fi].name.clone());
-                fields.push(files[fi].hash.clone());
-                fields.push(deps_digests[fi].clone());
-            }
-            fields.extend(decls.rows(&call_seen).flatten().map(str::to_string));
-            fields_hash(fields)
-        });
-        cache_ns += elapsed_ns(t);
-        extended
-    } else {
-        deps_digests
-    };
-
-    // ---- taint passes ----
-    let p1 = run_cached_pass(
-        tool,
-        store,
-        &runtime,
-        sources,
-        &files,
-        &decls,
-        &mut programs,
-        &deps_digests,
-        &config_fp,
-        &taint_resolutions,
-        &include_targets,
-        false,
-        &mut parse_ns,
-        &mut taint_ns,
-        &mut cache_ns,
-        obs,
-    )?;
-    let store_seen = p1.iter().any(PassArtifacts::store_seen);
-    let ran_pass2 = tool.config.analysis.second_order && store_seen;
-    let mut candidates = pass_candidates(&p1);
-    if ran_pass2 {
-        let p2 = run_cached_pass(
-            tool,
-            store,
-            &runtime,
-            sources,
-            &files,
-            &decls,
-            &mut programs,
-            &deps_digests,
-            &config_fp,
-            &taint_resolutions,
-            &include_targets,
-            true,
-            &mut parse_ns,
-            &mut taint_ns,
-            &mut cache_ns,
-            obs,
-        )?;
-        candidates.extend(pass_candidates(&p2));
-    }
-    let candidates = dedup_and_sort(candidates);
-
-    // ---- findings: per-file groups over the sorted candidate stream ----
+/// Symptoms + vote over the sorted candidate stream, one group per file.
+/// With a store, every group's findings entry is looked up and only the
+/// missing groups are voted — with CFGs lowered (`--guards`) and value
+/// facts derived for their files alone — then written back; with none,
+/// every group is voted. The lint pass reads every file's value facts, so
+/// with it on they are all derived here. Returns the findings and the
+/// CFGs lowered, by file index.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn findings_stage(
+    scan: &Scan<'_>,
+    files: &[FileMeta],
+    programs: &[OnceLock<Program>],
+    keys: Option<&Keys<'_>>,
+    file_index: &HashMap<&str, usize>,
+    mut values: Option<&mut Values>,
+    candidates: Vec<Candidate>,
+    ran_pass2: bool,
+    ns: &mut Ns,
+) -> Option<(Vec<Finding>, Vec<Option<wap_cfg::FileCfgs>>)> {
     // the stream is file-major after dedup_and_sort, so groups are
     // contiguous runs of one file
     struct Group {
         file: usize,
         start: usize,
         end: usize,
-        key: String,
-        digest: String,
+        /// The findings entry's key and the group's candidate digest,
+        /// with a store.
+        entry: Option<(String, String)>,
     }
     let t = Instant::now();
     let mut groups: Vec<Group> = Vec::new();
-    {
-        let mut k = 0;
-        while k < candidates.len() {
-            let name = candidates[k].file.as_deref()?;
-            let file = *file_index.get(name)?;
-            let start = k;
-            while k < candidates.len() && candidates[k].file.as_deref() == Some(name) {
-                k += 1;
-            }
+    let mut k = 0;
+    while k < candidates.len() {
+        let name = candidates[k].file.as_deref()?;
+        let file = *file_index.get(name)?;
+        let start = k;
+        while k < candidates.len() && candidates[k].file.as_deref() == Some(name) {
+            k += 1;
+        }
+        let entry = keys.map(|keys| {
             let mut w = Writer::new();
             w.seq(k - start);
             for c in &candidates[start..k] {
                 write_candidate(&mut w, c);
             }
-            groups.push(Group {
-                file,
-                start,
-                end: k,
-                key: findings_key(
-                    name,
-                    &files[file].hash,
-                    &deps_digests[file],
-                    &config_fp,
-                    ran_pass2,
-                ),
-                digest: Blake2s::hash_hex(&w.into_bytes()),
-            });
-        }
+            let f = &files[file];
+            let key = findings_key(name, &f.hash, &keys.deps[file], &keys.config_fp, ran_pass2);
+            (key, Blake2s::hash_hex(&w.into_bytes()))
+        });
+        groups.push(Group {
+            file,
+            start,
+            end: k,
+            entry,
+        });
     }
 
     let mut slots: Vec<Option<Finding>> = candidates.iter().map(|_| None).collect();
-    let mut miss_groups: Vec<usize> = Vec::new();
-    for (gi, g) in groups.iter().enumerate() {
-        let decoded = match store.probe(&g.key) {
-            Some((payload, tier)) => {
-                match decode_findings(&payload, &g.digest, &candidates[g.start..g.end]) {
-                    Ok(fs) => {
-                        obs.event_file(hit_event(tier), &files[g.file].name);
-                        Some(fs)
-                    }
-                    Err(_) => {
-                        obs.event_file("cache_corrupt", &files[g.file].name);
-                        store.reject(&g.key);
-                        None
-                    }
-                }
-            }
-            None => {
-                obs.event_file("cache_miss", &files[g.file].name);
-                None
-            }
-        };
+    let mut candidates: Vec<Option<Candidate>> = candidates.into_iter().map(Some).collect();
+    let mut voted: Vec<&Group> = Vec::new();
+    for g in &groups {
+        let decoded = keys.zip(g.entry.as_ref()).and_then(|(k, (key, digest))| {
+            probe(k.store, key, &files[g.file].name, scan.obs, |p| {
+                decode_findings(p, digest, g.end - g.start)
+            })
+        });
         match decoded {
             Some(fs) => {
-                for (k, f) in fs.into_iter().enumerate() {
-                    slots[g.start + k] = Some(f);
-                }
-            }
-            None => miss_groups.push(gi),
-        }
-    }
-    cache_ns += elapsed_ns(t);
-
-    if !miss_groups.is_empty() {
-        let mut want: Vec<usize> = miss_groups.iter().map(|&gi| groups[gi].file).collect();
-        // sink-context refinement re-derives value facts for hit files;
-        // the merged summaries need every decl-bearing program
-        let values_todo: Vec<usize> = values_state
-            .as_ref()
-            .map(|vs| {
-                want.iter()
-                    .copied()
-                    .filter(|fi| !vs.file_values.contains_key(fi))
-                    .collect()
-            })
-            .unwrap_or_default();
-        if !values_todo.is_empty() {
-            want.extend(
-                files
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| !f.decls.is_empty())
-                    .map(|(i, _)| i),
-            );
-        }
-        ensure_parsed(
-            &runtime,
-            store,
-            sources,
-            &files,
-            &mut programs,
-            &want,
-            &mut parse_ns,
-            obs,
-        )?;
-        if let Some(vs) = &mut values_state {
-            if !values_todo.is_empty() {
-                if vs.summaries.is_none() {
-                    vs.summaries = Some(compute_value_summaries(&runtime, &files, &programs));
-                }
-                let summaries = vs.summaries.as_ref().expect("summaries just ensured");
-                let t = Instant::now();
-                let computed: Vec<wap_cfg::FileValues> =
-                    runtime.map(values_todo.clone(), |_, fi| {
-                        let _span = obs.span_file(Phase::Values, &files[fi].name);
-                        wap_cfg::analyze_file_values(
-                            &files[fi].name,
-                            programs[fi].as_ref().expect("parsed for findings"),
-                            summaries,
-                            &vs.known,
-                        )
+                for (slot, (prediction, symptoms)) in (g.start..g.end).zip(fs) {
+                    let candidate = candidates[slot].take().expect("each candidate once");
+                    slots[slot] = Some(Finding {
+                        candidate,
+                        prediction,
+                        symptoms,
                     });
-                values_ns += elapsed_ns(t);
-                for (fi, fv) in values_todo.into_iter().zip(computed) {
-                    vs.file_values.insert(fi, fv);
                 }
             }
+            None => voted.push(g),
         }
-        let todo: Vec<usize> = miss_groups
-            .iter()
-            .flat_map(|&gi| groups[gi].start..groups[gi].end)
-            .collect();
-        let by_candidate: HashMap<usize, usize> = miss_groups
-            .iter()
-            .flat_map(|&gi| (groups[gi].start..groups[gi].end).map(move |k| (k, gi)))
-            .collect();
-        // CFG lowering for guard refinement, one graph set per file whose
-        // candidates are re-voted: refinement reads no other file's graphs
-        let cfgs_by_file: HashMap<usize, wap_cfg::FileCfgs> = if options.guards {
-            let t = Instant::now();
-            // groups are per file, so no file repeats
-            let uniq: Vec<usize> = miss_groups.iter().map(|&gi| groups[gi].file).collect();
-            let built = runtime.map(uniq.clone(), |_, fi| {
-                let _span = obs.span_file(Phase::Cfg, &files[fi].name);
-                wap_cfg::lower_program(programs[fi].as_ref().expect("parsed for findings"))
-            });
-            cfg_ns += elapsed_ns(t);
-            uniq.into_iter().zip(built).collect()
-        } else {
-            HashMap::new()
-        };
-        // symptom collection + committee voting, one task per candidate,
-        // exactly as the cold path fans out
-        let t = Instant::now();
-        let computed = runtime.map(todo.clone(), |_, k| {
-            let gi = by_candidate[&k];
-            let _span = obs.span_file(Phase::Vote, &files[groups[gi].file].name);
-            let program = programs[groups[gi].file]
-                .as_ref()
-                .expect("parsed for findings");
-            let candidate = candidates[k].clone();
-            let mut symptoms = collect(program, &candidate, &tool.dynamic_symptoms);
-            if options.guards {
-                if let Some(file_cfgs) = cfgs_by_file.get(&groups[gi].file) {
-                    crate::pipeline::refine_with_cfg(&mut symptoms, file_cfgs, &candidate);
-                }
-            }
-            if let Some(vs) = &values_state {
-                if let Some(fv) = vs.file_values.get(&groups[gi].file) {
-                    crate::pipeline::refine_with_values(&mut symptoms, fv, &candidate);
-                }
-            }
-            let prediction = tool.predictor.predict(&symptoms);
-            Finding {
-                candidate,
-                prediction,
-                symptoms,
-            }
-        });
-        predict_ns += elapsed_ns(t);
-        for (k, f) in todo.into_iter().zip(computed) {
-            slots[k] = Some(f);
-        }
-        let t = Instant::now();
-        for &gi in &miss_groups {
-            let g = &groups[gi];
-            store.put(&g.key, encode_findings(&g.digest, &slots[g.start..g.end]));
-        }
-        cache_ns += elapsed_ns(t);
+    }
+    if keys.is_some() {
+        ns.cache += elapsed_ns(t);
     }
 
-    let findings: Vec<Finding> = slots
+    // groups are per file, so no file repeats
+    let voted_files: Vec<usize> = voted.iter().map(|g| g.file).collect();
+    ensure_parsed(scan, files, programs, &voted_files, ns)?;
+    if let Some(v) = values.as_deref_mut() {
+        // sink-context refinement reads the voted files' value facts
+        let needed: Vec<usize> = match scan.options.lint {
+            Some(_) => (0..files.len()).collect(),
+            None => voted_files.clone(),
+        };
+        let todo: Vec<usize> = needed
+            .into_iter()
+            .filter(|&i| v.facts[i].is_none())
+            .collect();
+        if !todo.is_empty() {
+            derive_values(scan, files, programs, v, &todo, ns)?;
+        }
+    }
+    let values = values.as_deref();
+
+    // CFG lowering for guard refinement, one graph set per voted file:
+    // refinement reads no other file's graphs
+    let mut cfgs: Vec<Option<wap_cfg::FileCfgs>> = files.iter().map(|_| None).collect();
+    if scan.options.guards {
+        let t = Instant::now();
+        let built = scan.runtime.map(voted_files.clone(), |_, fi| {
+            let _span = scan.obs.span_file(Phase::Cfg, &files[fi].name);
+            wap_cfg::lower_program(programs[fi].get().expect("parsed for findings"))
+        });
+        ns.cfg += elapsed_ns(t);
+        for (&fi, built) in voted_files.iter().zip(built) {
+            cfgs[fi] = Some(built);
+        }
+    }
+
+    // symptom collection + committee voting, one task per candidate
+    let t = Instant::now();
+    let todo: Vec<(usize, usize, Candidate)> = voted
+        .iter()
+        .flat_map(|g| (g.start..g.end).map(move |slot| (g.file, slot)))
+        .map(|(file, slot)| {
+            (
+                file,
+                slot,
+                candidates[slot].take().expect("each candidate once"),
+            )
+        })
+        .collect();
+    let computed = scan.runtime.map(todo, |_, (file, slot, candidate)| {
+        let _span = scan.obs.span_file(Phase::Vote, &files[file].name);
+        let program = programs[file].get().expect("parsed for findings");
+        let mut symptoms = collect(program, &candidate, &scan.tool.dynamic_symptoms);
+        if let Some(file_cfgs) = &cfgs[file] {
+            refine_with_cfg(&mut symptoms, file_cfgs, &candidate);
+        }
+        if let Some(fv) = values.and_then(|v| v.facts[file].as_ref()) {
+            refine_with_values(&mut symptoms, fv, &candidate);
+        }
+        let prediction = scan.tool.predictor.predict(&symptoms);
+        let finding = Finding {
+            candidate,
+            prediction,
+            symptoms,
+        };
+        (slot, finding)
+    });
+    ns.predict += elapsed_ns(t);
+    for (slot, finding) in computed {
+        slots[slot] = Some(finding);
+    }
+
+    if let Some(k) = keys {
+        let t = Instant::now();
+        for g in &voted {
+            let (key, digest) = g.entry.as_ref().expect("keyed with a store");
+            k.store
+                .put(key, encode_findings(digest, &slots[g.start..g.end]));
+        }
+        ns.cache += elapsed_ns(t);
+    }
+    let findings = slots
         .into_iter()
         .map(|f| f.expect("every candidate resolved"))
         .collect();
-
-    let (edges_resolved, edges_unresolved) = values_state
-        .as_ref()
-        .map(|vs| {
-            vs.per_file.iter().fold((0, 0), |(res, unres), r| {
-                let (a, b) = r.edge_counts();
-                (res + a, unres + b)
-            })
-        })
-        .unwrap_or((0, 0));
-
-    let mut stats = scan_stats(obs, parse_ns, taint_ns, predict_ns, cache_ns);
-    stats.set_phase_ns(Phase::Cfg, cfg_ns);
-    if values_state.is_some() {
-        stats.set_phase_ns(Phase::Values, values_ns);
-    }
-    stats.allocations = wap_obs::allocations_now().saturating_sub(alloc_start);
-    stats.peak_rss_bytes = wap_obs::peak_rss_bytes();
-    Some(AppReport {
-        findings,
-        files_analyzed: files.len(),
-        loc,
-        parse_errors,
-        duration: start.elapsed(),
-        stats,
-        cache: store.stats().snapshot().since(&stats_before),
-        lint_ran: false,
-        lint: Vec::new(),
-        lint_rules: Vec::new(),
-        values_ran: values_state.is_some(),
-        dynamic_edges_resolved: edges_resolved,
-        dynamic_edges_unresolved: edges_unresolved,
-        tool_name: wap_report::TOOL_NAME,
-        tool_version: wap_report::TOOL_VERSION,
-    })
+    Some((findings, cfgs))
 }
 
 #[cfg(test)]

@@ -6,16 +6,14 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use wap_cache::{CacheStatsSnapshot, CacheStore};
+use wap_cache::CacheStore;
 use wap_catalog::{Catalog, WeaponConfig};
 use wap_fixer::{Corrector, FixResult};
-use wap_mining::{
-    collect, DynamicSymptomMap, FalsePositivePredictor, FeatureVector, PredictorGeneration,
-};
+use wap_mining::{DynamicSymptomMap, FalsePositivePredictor, FeatureVector, PredictorGeneration};
 use wap_obs::{Collector, JobHandle, Phase};
-use wap_php::{parse, ParseError, Program, Symbol};
+use wap_php::{parse, Program, Symbol};
 use wap_runtime::Runtime;
-use wap_taint::{AnalysisOptions, Candidate, SourceFile};
+use wap_taint::{AnalysisOptions, Candidate};
 
 /// Which tool generation to run — the paper compares both.
 pub use wap_mining::PredictorGeneration as Generation;
@@ -447,8 +445,9 @@ impl WapTool {
     /// options as its defaults.
     ///
     /// The lint pass reuses the programs, CFGs and value facts the
-    /// uncached analysis already derived, so each file is parsed once,
-    /// lowered at most once and value-analyzed at most once.
+    /// analysis already derived, cache or no cache, so each file is
+    /// parsed at most once, lowered at most once and value-analyzed at
+    /// most once.
     ///
     /// # Errors
     ///
@@ -466,199 +465,21 @@ impl WapTool {
         Ok(report)
     }
 
-    /// The cached pipeline when a store is configured and accepts the
-    /// input, else the uncached one — which alone hands back what it
-    /// derived along the way.
+    /// The analysis pipeline, with the tool's store when it has one. A
+    /// store the input does not suit (duplicate file names, a decl entry
+    /// the parser contradicts) sends the scan through the same pipeline
+    /// again with no store. Either way it hands back what it derived.
     fn analyze(
         &self,
         sources: &[(String, String)],
         options: &ScanOptions,
     ) -> (AppReport, ScanArtifacts) {
         let obs = self.obs.job();
-        if let Some(store) = &self.cache {
-            if let Some(report) =
-                crate::incremental::analyze_sources_cached(self, store, sources, options, obs)
-            {
-                return (report, ScanArtifacts::default());
-            }
-        }
-        self.analyze_sources_cold(sources, options, obs)
-    }
-
-    /// The uncached pipeline — also the fallback when the cached path
-    /// declines an input (e.g. duplicate file names). Returns the report
-    /// with the programs, CFGs and value facts derived on the way.
-    fn analyze_sources_cold(
-        &self,
-        sources: &[(String, String)],
-        options: &ScanOptions,
-        obs: JobHandle<'_>,
-    ) -> (AppReport, ScanArtifacts) {
-        let start = Instant::now();
-        // the source index of each parsed file, for the handoff to the
-        // lint pass; sized before the allocation counter starts so the
-        // report counts the analysis's allocations alone
-        let mut parsed_at: Vec<usize> = Vec::with_capacity(sources.len());
-        let alloc_start = wap_obs::allocations_now();
-        let runtime = self.runtime();
-
-        // parse files in parallel; analysis itself is cross-file
-        let programs: Vec<Result<Program, ParseError>> = runtime.run(sources.len(), |i| {
-            let _span = obs.span_file(Phase::Parse, &sources[i].0);
-            parse(&sources[i].1)
-        });
-        let parse_ns = elapsed_ns(start);
-
-        let mut parsed: Vec<SourceFile> = Vec::new();
-        let mut parse_errors = Vec::new();
-        let mut loc = 0usize;
-        for (i, (result, (name, src))) in programs.into_iter().zip(sources).enumerate() {
-            match result {
-                Ok(program) => {
-                    // only successfully parsed files count as analyzed LoC
-                    loc += src.lines().count();
-                    parsed.push(SourceFile {
-                        name: name.clone(),
-                        program,
-                    });
-                    parsed_at.push(i);
-                }
-                Err(e) => parse_errors.push((name.clone(), e)),
-            }
-        }
-
-        // interprocedural value analysis (`--values`): summaries + per-file
-        // facts, feeding extra taint call-graph edges and sink contexts.
-        // Skipped entirely unless the flag is on, so default runs match
-        // value-less builds byte for byte.
-        let values = options.values.then(|| {
-            let inputs: Vec<(&str, &Program)> = parsed
-                .iter()
-                .map(|f| (f.name.as_str(), &f.program))
-                .collect();
-            run_values_stage(&inputs, &runtime, obs)
-        });
-        let no_resolutions = HashMap::new();
-        let resolutions = values
+        let run = |store| crate::incremental::analyze(self, store, sources, options, obs);
+        self.cache
             .as_ref()
-            .map(|v| &v.resolutions)
-            .unwrap_or(&no_resolutions);
-
-        let taint_start = Instant::now();
-        let candidates = wap_taint::analyze_with_resolutions(
-            &self.catalog,
-            &self.config.analysis,
-            &parsed,
-            resolutions,
-            &runtime,
-            obs,
-        );
-        let taint_ns = elapsed_ns(taint_start);
-
-        let by_name: HashMap<&str, &Program> = parsed
-            .iter()
-            .map(|f| (f.name.as_str(), &f.program))
-            .collect();
-
-        // CFG lowering for guard refinement — skipped entirely (zero
-        // graphs, zero nanoseconds) unless the flag is on, so default
-        // runs match pre-CFG builds byte for byte
-        let cfg_start = Instant::now();
-        let cfgs: Vec<wap_cfg::FileCfgs> = if options.guards {
-            runtime.run(parsed.len(), |i| {
-                let _span = obs.span_file(Phase::Cfg, &parsed[i].name);
-                wap_cfg::lower_program(&parsed[i].program)
-            })
-        } else {
-            Vec::new()
-        };
-        let cfg_ns = if options.guards {
-            elapsed_ns(cfg_start)
-        } else {
-            0
-        };
-        let cfgs_by_name: HashMap<&str, &wap_cfg::FileCfgs> = parsed
-            .iter()
-            .zip(&cfgs)
-            .map(|(f, c)| (f.name.as_str(), c))
-            .collect();
-
-        // symptom collection + committee voting, one task per candidate;
-        // the join keeps the analyzer's (file, line, class) order
-        let predict_start = Instant::now();
-        let findings = runtime.map(candidates, |_, candidate| {
-            let _span = candidate
-                .file
-                .as_deref()
-                .map(|f| obs.span_file(Phase::Vote, f));
-            let program = candidate
-                .file
-                .as_deref()
-                .and_then(|f| by_name.get(f))
-                .copied();
-            let mut symptoms = match program {
-                Some(p) => collect(p, &candidate, &self.dynamic_symptoms),
-                None => FeatureVector {
-                    features: vec![0.0; wap_mining::attributes::wape_feature_count()],
-                    present: Vec::new(),
-                },
-            };
-            if options.guards {
-                if let Some(file_cfgs) = candidate.file.as_deref().and_then(|f| cfgs_by_name.get(f))
-                {
-                    refine_with_cfg(&mut symptoms, file_cfgs, &candidate);
-                }
-            }
-            if let Some(v) = &values {
-                if let Some(fv) = candidate.file.as_deref().and_then(|f| v.by_file.get(f)) {
-                    refine_with_values(&mut symptoms, fv, &candidate);
-                }
-            }
-            let prediction = self.predictor.predict(&symptoms);
-            Finding {
-                candidate,
-                prediction,
-                symptoms,
-            }
-        });
-        let predict_ns = elapsed_ns(predict_start);
-
-        let mut stats = scan_stats(obs, parse_ns, taint_ns, predict_ns, 0);
-        stats.set_phase_ns(Phase::Cfg, cfg_ns);
-        if let Some(v) = &values {
-            stats.set_phase_ns(Phase::Values, v.values_ns);
-        }
-        stats.allocations = wap_obs::allocations_now().saturating_sub(alloc_start);
-        stats.peak_rss_bytes = wap_obs::peak_rss_bytes();
-        let report = AppReport {
-            findings,
-            files_analyzed: parsed.len(),
-            loc,
-            parse_errors,
-            duration: start.elapsed(),
-            stats,
-            cache: CacheStatsSnapshot::default(),
-            lint_ran: false,
-            lint: Vec::new(),
-            lint_rules: Vec::new(),
-            values_ran: values.is_some(),
-            dynamic_edges_resolved: values.as_ref().map_or(0, |v| v.edges_resolved),
-            dynamic_edges_unresolved: values.as_ref().map_or(0, |v| v.edges_unresolved),
-            tool_name: wap_report::TOOL_NAME,
-            tool_version: wap_report::TOOL_VERSION,
-        };
-
-        let n = sources.len();
-        let artifacts = ScanArtifacts {
-            programs: by_source(n, &parsed_at, parsed.into_iter().map(|f| f.program)),
-            cfgs: if cfgs.is_empty() {
-                Vec::new()
-            } else {
-                by_source(n, &parsed_at, cfgs)
-            },
-            values,
-        };
-        (report, artifacts)
+            .and_then(|store| run(Some(store)))
+            .unwrap_or_else(|| run(None).expect("a scan with no store always completes"))
     }
 
     /// Runs the CFG lint pass over `sources` and attaches its findings,
@@ -704,7 +525,12 @@ impl WapTool {
         let obs = self.obs.job();
         let runtime = self.runtime();
         let packs = options.lint.as_deref().unwrap_or_default();
-        let config_fp = crate::incremental::config_fingerprint(self, options);
+        // key material, built only with a store to key entries in
+        let config_fp = self
+            .cache
+            .as_ref()
+            .map(|_| crate::incremental::config_fingerprint(self, options))
+            .unwrap_or_default();
         let rules_fp = packs
             .iter()
             .map(|p| p.fingerprint())
@@ -752,7 +578,7 @@ impl WapTool {
         // file up front (its value stage needs them all) and the per-file
         // tasks below reuse those, otherwise each task parses its own
         let parsed_here: Vec<Option<Program>>;
-        let programs: &[Option<Program>] = if artifacts.programs.is_empty() && options.values {
+        let programs: &[Option<Program>] = if artifacts.values.is_none() && options.values {
             let t = Instant::now();
             parsed_here = runtime.run(sources.len(), |i| parse(&sources[i].1).ok());
             // billed to the CFG phase, like the per-file parses it replaces
@@ -765,23 +591,37 @@ impl WapTool {
         // value-analysis facts (`--values`): dynamic include sites the
         // value pass resolves are suppressed from the unresolved-include
         // lint, and the full per-file values back predicate `where`
-        // constraints. Computed fresh each run, so the per-file digests
+        // constraints. Derived fresh each run, so the per-file digests
         // below keep cached lint entries from going stale when another
         // file's presence changes what resolves.
-        let computed_values: ValuesOutcome;
+        let computed_values: HashMap<String, wap_cfg::FileValues>;
         let values_facts: Option<&HashMap<String, wap_cfg::FileValues>> = match &artifacts.values {
-            Some(outcome) => Some(&outcome.by_file),
+            Some(by_file) => Some(by_file),
             None if options.values => {
+                let t = Instant::now();
                 let inputs: Vec<(&str, &Program)> = sources
                     .iter()
                     .zip(programs)
                     .filter_map(|((n, _), p)| p.as_ref().map(|p| (n.as_str(), p)))
                     .collect();
-                computed_values = run_values_stage(&inputs, &runtime, obs);
-                report
-                    .stats
-                    .add_phase_ns(Phase::Values, computed_values.values_ns);
-                Some(&computed_values.by_file)
+                let summaries =
+                    crate::incremental::compute_value_summaries(&runtime, inputs.len(), |i| {
+                        Some(inputs[i].1)
+                    });
+                let known: std::collections::BTreeSet<String> =
+                    inputs.iter().map(|(n, _)| n.to_string()).collect();
+                let facts = runtime.run(inputs.len(), |i| {
+                    let (name, program) = inputs[i];
+                    let _span = obs.span_file(Phase::Values, name);
+                    wap_cfg::analyze_file_values(name, program, &summaries, &known)
+                });
+                computed_values = inputs
+                    .iter()
+                    .map(|(n, _)| n.to_string())
+                    .zip(facts)
+                    .collect();
+                report.stats.add_phase_ns(Phase::Values, elapsed_ns(t));
+                Some(&computed_values)
             }
             None => None,
         };
@@ -814,14 +654,14 @@ impl WapTool {
         // one task per file: cache lookup, else parse → lower → lint
         let per_file: Vec<(Vec<LintFinding>, u64, u64)> = runtime.run(sources.len(), |i| {
             let (name, src) = &sources[i];
+            let fv = values_facts.and_then(|m| m.get(name.as_str()));
             // fact digests join the key only when the facts can change
             // the findings: resolved-include offsets in values mode (a
             // new scan-set file can make an include resolve), taint
             // carriers and the full value fingerprint when predicate
             // rules consume them. Facts are recomputed every run, so
             // a cross-file change always re-keys this file's entry.
-            let fv = values_facts.and_then(|m| m.get(name.as_str()));
-            let entry_salt = if values_facts.is_some() || needs_facts {
+            let key = self.cache.as_ref().map(|_| {
                 let mut salt = rules_fp.clone();
                 if values_facts.is_some() {
                     let offsets = fv
@@ -846,39 +686,27 @@ impl WapTool {
                         salt.push_str(&format!("\u{1f}facts:{}", fv.facts_fingerprint()));
                     }
                 }
-                salt
-            } else {
-                rules_fp.clone()
-            };
-            let key = self.cache.as_ref().map(|_| {
                 crate::incremental::cfg_lint_key(
                     name,
                     &wap_php::content_hash(src),
                     &config_fp,
-                    &entry_salt,
+                    &salt,
                 )
             });
             if let (Some(store), Some(key)) = (&self.cache, &key) {
-                match store.probe(key) {
-                    Some((payload, tier)) => match crate::incremental::decode_lint(&payload) {
-                        Ok(findings) => {
-                            obs.event_file(crate::incremental::hit_event(tier), name);
-                            return (findings, 0, 0);
-                        }
-                        Err(_) => {
-                            obs.event_file("cache_corrupt", name);
-                            store.reject(key);
-                        }
-                    },
-                    None => obs.event_file("cache_miss", name),
+                let cached = crate::incremental::probe(store, key, name, obs, |p| {
+                    crate::incremental::decode_lint(p)
+                });
+                if let Some(findings) = cached {
+                    return (findings, 0, 0);
                 }
             }
+            if artifacts.parse_failed.get(i) == Some(&true) {
+                // the analysis already reported the parse failure
+                return (Vec::new(), 0, 0);
+            }
             let t = Instant::now();
-            let reused_program = match programs.get(i).map(Option::as_ref) {
-                // parse failures are already reported by the analysis
-                Some(None) => return (Vec::new(), 0, 0),
-                reused => reused.flatten(),
-            };
+            let reused_program = programs.get(i).and_then(Option::as_ref);
             let reused_cfgs = artifacts.cfgs.get(i).and_then(Option::as_ref);
             let (mut own_program, mut own_cfgs) = (None, None);
             let (program, cfgs) = {
@@ -965,108 +793,21 @@ pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Spreads per-parsed-file items back over `len` source indices: `at[k]`
-/// is the source index of the `k`th item, and unparsed sources get `None`.
-fn by_source<T>(len: usize, at: &[usize], items: impl IntoIterator<Item = T>) -> Vec<Option<T>> {
-    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
-    for (&i, item) in at.iter().zip(items) {
-        out[i] = Some(item);
-    }
-    out
-}
-
-/// What the uncached analysis derived on the way to its report, handed to
-/// the lint pass so it does not derive it again. Each field may be empty
-/// — the cached path derives nothing per file — and the lint pass
-/// computes whatever is missing.
+/// What the analysis derived on the way to its report, by source index,
+/// handed to the lint pass so it does not derive it again. The lint pass
+/// computes whatever is missing; [`ScanArtifacts::default`] holds nothing.
 #[derive(Default)]
 pub(crate) struct ScanArtifacts {
-    /// Parsed programs by source index, `None` where parsing failed;
-    /// empty when the analysis parsed nothing.
-    programs: Vec<Option<Program>>,
-    /// Lowered CFGs by source index; empty unless guard refinement ran.
-    cfgs: Vec<Option<wap_cfg::FileCfgs>>,
-    /// The value stage's outcome, when it ran.
-    values: Option<ValuesOutcome>,
-}
-
-/// Everything the value-analysis stage (`--values`) hands the rest of
-/// the pipeline: per-file value facts, the taint engine's resolution
-/// view of them, and the dynamic-edge counters the report surfaces.
-pub(crate) struct ValuesOutcome {
-    /// Per-file value facts, for sink-context symptom refinement.
-    pub(crate) by_file: HashMap<String, wap_cfg::FileValues>,
-    /// The taint engine's view: only files with at least one resolved
-    /// include or call appear.
-    pub(crate) resolutions: HashMap<String, wap_taint::FileResolution>,
-    /// Dynamic edges resolved to known targets, summed across files.
-    pub(crate) edges_resolved: usize,
-    /// Dynamic edges left opaque, summed across files.
-    pub(crate) edges_unresolved: usize,
-    /// Wall-clock nanoseconds of the whole stage.
-    pub(crate) values_ns: u64,
-}
-
-/// Runs the interprocedural value analysis over every parsed file: value
-/// summaries are merged first-declaration-wins (matching the taint
-/// engine's canonical function index), then each file's top-level flow
-/// is interpreted over the value lattice in parallel. Deterministic for
-/// any job count — the joins are index-ordered.
-pub(crate) fn run_values_stage(
-    files: &[(&str, &Program)],
-    runtime: &Runtime,
-    obs: JobHandle<'_>,
-) -> ValuesOutcome {
-    let start = Instant::now();
-    let summary_lists: Vec<Vec<(Symbol, wap_cfg::ValueSummary)>> =
-        runtime.run(files.len(), |i| wap_cfg::summarize_values(files[i].1));
-    let mut summaries: HashMap<Symbol, wap_cfg::ValueSummary> = HashMap::new();
-    for list in summary_lists {
-        for (name, s) in list {
-            summaries.entry(name).or_insert(s);
-        }
-    }
-    let known: std::collections::BTreeSet<String> =
-        files.iter().map(|(n, _)| n.to_string()).collect();
-    let per_file: Vec<wap_cfg::FileValues> = runtime.run(files.len(), |i| {
-        let (name, program) = files[i];
-        let _span = obs.span_file(Phase::Values, name);
-        wap_cfg::analyze_file_values(name, program, &summaries, &known)
-    });
-    let mut out = ValuesOutcome {
-        by_file: HashMap::new(),
-        resolutions: HashMap::new(),
-        edges_resolved: 0,
-        edges_unresolved: 0,
-        values_ns: 0,
-    };
-    for ((name, _), fv) in files.iter().zip(per_file) {
-        let (resolved, unresolved) = fv.resolution.edge_counts();
-        out.edges_resolved += resolved;
-        out.edges_unresolved += unresolved;
-        if !fv.resolution.includes.is_empty() || !fv.resolution.calls.is_empty() {
-            out.resolutions.insert(
-                name.to_string(),
-                wap_taint::FileResolution {
-                    includes: fv
-                        .resolution
-                        .includes
-                        .iter()
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect(),
-                    calls: fv
-                        .resolution
-                        .calls
-                        .iter()
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect(),
-                },
-            );
-        }
-        out.by_file.insert(name.to_string(), fv);
-    }
-    out.values_ns = elapsed_ns(start);
-    out
+    /// Parsed programs, `None` where the file failed to parse or the
+    /// analysis did not parse it.
+    pub(crate) programs: Vec<Option<Program>>,
+    /// Whether the file failed to parse (the report lists it already).
+    pub(crate) parse_failed: Vec<bool>,
+    /// Lowered CFGs, `None` where guard refinement lowered nothing.
+    pub(crate) cfgs: Vec<Option<wap_cfg::FileCfgs>>,
+    /// Every parsed file's value facts, keyed by name, when the value
+    /// stage derived them all.
+    pub(crate) values: Option<HashMap<String, wap_cfg::FileValues>>,
 }
 
 /// Rewrites value-context symptoms from the lattice at this candidate's

@@ -39,10 +39,9 @@ pub mod serial;
 pub mod state;
 
 pub use engine::{
-    analyze, analyze_program, analyze_with, analyze_with_obs, analyze_with_resolutions,
-    collect_literals, dedup_and_sort, function_fingerprint, function_refs, pass_candidates,
-    referenced_names, run_pass_incremental, run_pass_incremental_with_resolutions, AnalysisOptions,
-    FileResolution, PassArtifacts, PassInput, PassOutcome, SourceFile,
+    analyze, analyze_program, collect_literals, dedup_and_sort, function_fingerprint,
+    function_refs, pass_candidates, referenced_names, run_pass, AnalysisOptions, FileResolution,
+    PassArtifacts, PassInput, PassOutcome, SourceFile,
 };
 pub use finding::Candidate;
 pub use state::{TaintInfo, TaintState, TaintStep};

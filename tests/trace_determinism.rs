@@ -153,7 +153,9 @@ fn scan_stats_per_file_breakdown_follows_the_trace_flag() {
 /// gets one parse span; every file that parsed gets one CFG lowering
 /// (by the guard refinement when `--guards` is on, else by the lint
 /// pass) and one value-stage span. A second parse, lowering or value
-/// stage in the lint pass shows up as a second span for the file.
+/// stage in the lint pass shows up as a second span for the file. A scan
+/// on an empty store is the same pipeline with every file a miss, so it
+/// derives exactly as much.
 #[test]
 fn uncached_scan_derives_each_file_once() {
     use std::collections::BTreeMap;
@@ -161,8 +163,8 @@ fn uncached_scan_derives_each_file_once() {
 
     let mut sources = corpus_sources();
     sources.push(("broken.php".to_string(), "<?php $x = ;\n".to_string()));
-    for guards in [true, false] {
-        let tool = WapTool::new(
+    for (guards, empty_store) in [(true, false), (false, false), (true, true), (false, true)] {
+        let mut tool = WapTool::new(
             ToolConfig::builder()
                 .jobs(2)
                 .trace(true)
@@ -171,6 +173,9 @@ fn uncached_scan_derives_each_file_once() {
                 .rule_packs(vec![wap::rules::RulePack::wordpress()])
                 .build(),
         );
+        if empty_store {
+            tool.enable_memory_cache();
+        }
         let report = tool
             .scan(&sources, &tool.config().scan)
             .expect("rules compile");
@@ -188,7 +193,7 @@ fn uncached_scan_derives_each_file_once() {
         let count =
             |phase: Phase, file: &str| spans.get(&(phase, file.to_string())).copied().unwrap_or(0);
         for (name, _) in &sources {
-            let label = format!("guards={guards} {name}");
+            let label = format!("guards={guards} empty_store={empty_store} {name}");
             assert_eq!(count(Phase::Parse, name), 1, "{label}: parse spans");
             let derived = usize::from(name != "broken.php");
             assert_eq!(count(Phase::Cfg, name), derived, "{label}: lowerings");
