@@ -47,7 +47,7 @@ pub use ast::{Expr, ExprKind, Program, Stmt, StmtKind};
 pub use error::{ParseError, ParseResult};
 pub use fingerprint::{content_hash, Blake2s};
 pub use intern::Symbol;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use printer::{print_expr, print_program, print_stmt};
 pub use span::Span;
 pub use visitor::Visitor;

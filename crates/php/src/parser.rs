@@ -33,9 +33,20 @@ pub fn parse(src: &str) -> ParseResult<Program> {
     Parser::new(tokens).parse_program()
 }
 
+/// The deepest nesting the parser descends into. Statements and blocks,
+/// and parenthesised, call, array, unary and right-associative
+/// (assignment, ternary, `??`) expressions each take one level of one
+/// shared counter; a left-associative binary chain is a flat loop and
+/// takes none. Deeper input is a [`ParseError`] at the token that opens
+/// the level too many, so neither the parser nor the recursive walkers
+/// downstream ever see a tree deep enough to overflow a thread's stack.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered and not yet left (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 /// Binds a token to its binary operator and precedence tier for
@@ -72,7 +83,27 @@ fn binary_op(tok: &TokenKind) -> Option<(BinOp, u8)> {
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper, or fails at the current
+    /// token past [`MAX_NESTING`]. A parse error ends the whole parse, so
+    /// a failed level is never left.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> ParseResult<T>) -> ParseResult<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(ParseError::new(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     // ---- cursor helpers ----
@@ -176,6 +207,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> ParseResult<Stmt> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> ParseResult<Stmt> {
         let start = self.span();
         let kind = match *self.peek() {
             TokenKind::InlineHtml(_) => {
@@ -1012,7 +1047,7 @@ impl Parser {
         let Some(op) = op else { return Ok(lhs) };
         self.bump();
         let by_ref = op == AssignOp::Assign && self.eat(&TokenKind::Amp);
-        let value = self.parse_assignment()?; // right-associative
+        let value = self.nested(Self::parse_assignment)?; // right-associative
         let span = lhs.span.merge(value.span);
         Ok(Expr::new(
             ExprKind::Assign {
@@ -1029,7 +1064,7 @@ impl Parser {
         let cond = self.parse_coalesce()?;
         if self.eat(&TokenKind::Question) {
             if self.eat(&TokenKind::Colon) {
-                let otherwise = self.parse_assignment()?;
+                let otherwise = self.nested(Self::parse_assignment)?;
                 let span = cond.span.merge(otherwise.span);
                 return Ok(Expr::new(
                     ExprKind::Ternary {
@@ -1040,9 +1075,9 @@ impl Parser {
                     span,
                 ));
             }
-            let then = self.parse_assignment()?;
+            let then = self.nested(Self::parse_assignment)?;
             self.expect(&TokenKind::Colon)?;
-            let otherwise = self.parse_assignment()?;
+            let otherwise = self.nested(Self::parse_assignment)?;
             let span = cond.span.merge(otherwise.span);
             return Ok(Expr::new(
                 ExprKind::Ternary {
@@ -1059,7 +1094,7 @@ impl Parser {
     fn parse_coalesce(&mut self) -> ParseResult<Expr> {
         let lhs = self.parse_binary(0)?;
         if self.eat(&TokenKind::Coalesce) {
-            let rhs = self.parse_coalesce()?; // right-associative
+            let rhs = self.nested(Self::parse_coalesce)?; // right-associative
             let span = lhs.span.merge(rhs.span);
             return Ok(Expr::new(
                 ExprKind::Binary {
@@ -1115,7 +1150,13 @@ impl Parser {
         Ok(lhs)
     }
 
+    /// Every operand passes through here, so each parenthesised, call,
+    /// array or unary level takes one nesting level.
     fn parse_unary(&mut self) -> ParseResult<Expr> {
+        self.nested(Self::parse_unary_here)
+    }
+
+    fn parse_unary_here(&mut self) -> ParseResult<Expr> {
         let start = self.span();
         match *self.peek() {
             TokenKind::Bang => {
@@ -2114,6 +2155,45 @@ mod tests {
     fn parse_error_has_location() {
         let err = parse("<?php\n\n$x = ;").unwrap_err();
         assert_eq!(err.span().line(), 3);
+    }
+
+    /// Each nested construct takes one level; past `MAX_NESTING` the
+    /// parse fails at the token opening the level too many, long before
+    /// any stack runs out.
+    #[test]
+    fn nesting_past_the_limit_fails_at_the_opening_token() {
+        let nest = |open: &str, close: &str, n: usize| {
+            format!("<?php $x = {}1{};", open.repeat(n), close.repeat(n))
+        };
+        for (open, close) in [
+            ("(", ")"),
+            ("f(", ")"),
+            ("[", "]"),
+            ("!", ""),
+            ("$a = ", ""),
+        ] {
+            // the statement and `$x = ` take two levels
+            let fits = nest(open, close, MAX_NESTING - 3);
+            assert!(parse(&fits).is_ok(), "{open} nested {}", MAX_NESTING - 3);
+            for n in [MAX_NESTING, 5_000] {
+                let src = nest(open, close, n);
+                let err = parse(&src).unwrap_err();
+                assert!(err.message().contains("nesting"), "{}", err.message());
+                let at = err.span().start() as usize;
+                assert!(src[at..].starts_with(open), "{open}: error at {at}");
+            }
+        }
+        let ifs = |n: usize| format!("<?php {} echo 1; {}", "if ($a) {".repeat(n), "}".repeat(n));
+        assert!(parse(&ifs(MAX_NESTING / 2)).is_ok());
+        // the last level goes to the `MAX_NESTING`th `if`, so its
+        // condition is the first token too deep
+        let src = ifs(6_000);
+        let at = parse(&src).unwrap_err().span().start() as usize;
+        assert!(src[at..].starts_with("$a"));
+        assert_eq!((at - "<?php ".len()) / "if ($a) {".len(), MAX_NESTING - 1);
+        // a left-associative chain is not nesting
+        let chain = format!("<?php $x = 1{};", " . 1".repeat(5_000));
+        assert!(parse(&chain).is_ok());
     }
 
     #[test]
