@@ -538,6 +538,7 @@ pub fn analyze_file_values(
         known_files: &canonical,
         constants: HashMap::new(),
         out: FileValues::default(),
+        loop_nest: 0,
     };
     let mut env = Env::new();
     interp.exec_block(&mut env, &program.stmts);
@@ -563,10 +564,16 @@ struct Interp<'a> {
     /// `define()`d constants seen in this file.
     constants: HashMap<Symbol, AbstractValue>,
     out: FileValues,
+    /// Loops enclosing the walked statement (see [`flow::MAX_LOOP_NEST`]).
+    loop_nest: usize,
 }
 
 impl<'p> AbstractWalk<'p> for Interp<'_> {
     type Value = AbstractValue;
+
+    fn loop_nest(&mut self) -> &mut usize {
+        &mut self.loop_nest
+    }
 
     /// Records the environment before the statement, for point queries.
     fn before_stmt(&mut self, env: &Env, stmt: &'p Stmt) {
