@@ -219,3 +219,64 @@ echo $c;
     assert_eq!(report.findings.len(), 2, "sanitized flow is silent");
     assert_eq!(report.parse_errors.len(), 0);
 }
+
+/// Runs `f` on a thread with the platform's default 2 MiB stack, so a
+/// stack overflow aborts the test instead of passing on a larger one.
+fn on_default_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a scan thread")
+        .join()
+        .expect("the scan thread finished")
+}
+
+/// Deeply nested input is a parse error (past `wap::php::MAX_NESTING`)
+/// or a bounded scan (nested loops past `MAX_LOOP_NEST` run once), never
+/// a stack overflow or an exponential walk — scanned as `--guards
+/// --values --lint --rules wordpress` would.
+#[test]
+fn deep_nesting_is_a_parse_error_or_a_bounded_scan() {
+    let scan = |src: String| {
+        on_default_stack(move || {
+            let tool = WapTool::new(
+                ToolConfig::builder()
+                    .jobs(1)
+                    .guard_attributes(true)
+                    .values(true)
+                    .rule_packs(vec![wap::rules::RulePack::wordpress()])
+                    .build(),
+            );
+            let sources = [("deep.php".to_string(), src)];
+            let start = std::time::Instant::now();
+            let report = tool
+                .scan(&sources, &tool.config().scan)
+                .expect("rules compile");
+            (report, start.elapsed())
+        })
+    };
+
+    let parens = format!("<?php\n$x = {}1{};\n", "(".repeat(5_000), ")".repeat(5_000));
+    let ifs = format!(
+        "<?php\n{} echo $_GET['a']; {}\n",
+        "if ($a) {".repeat(6_000),
+        "}".repeat(6_000)
+    );
+    for src in [parens, ifs] {
+        let (report, _) = scan(src);
+        assert_eq!(report.parse_errors.len(), 1);
+        assert!(report.parse_errors[0].1.message().contains("nesting"));
+        assert!(report.findings.is_empty());
+    }
+
+    let loops = format!(
+        "<?php\n{} mysql_query(\"q \" . $_GET['a']); {}\n",
+        "while ($a) {".repeat(64),
+        "}".repeat(64)
+    );
+    let (report, took) = scan(loops);
+    assert!(report.parse_errors.is_empty());
+    assert_eq!(report.findings.len(), 1, "the sink inside the loops");
+    assert_eq!(report.findings[0].candidate.sink, "mysql_query");
+    assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+}
