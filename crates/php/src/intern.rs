@@ -28,7 +28,7 @@
 //! Interning (the write path) runs under a lock; **resolving** a symbol back
 //! to its string (`as_str`, `lower`) is lock-free. Resolved entries live in
 //! an append-only two-level table: a fixed array of chunk pointers, each
-//! chunk holding [`CHUNK_LEN`] write-once slots. A slot is fully written —
+//! chunk holding `CHUNK_LEN` write-once slots. A slot is fully written —
 //! and its chunk pointer Release-published — before the symbol id ever
 //! escapes `intern`, so any thread that legitimately holds a `Symbol` id
 //! also has a happens-before edge to that slot's contents (via the intern
@@ -40,7 +40,7 @@
 //! ## Memory
 //!
 //! The table is append-only and process-lifetime: strings are copied once
-//! into a [`StrArena`](crate::arena::StrArena) and never freed. The
+//! into a [`StrArena`] and never freed. The
 //! vocabulary of identifiers in scanned code is small and highly repetitive,
 //! so a resident scanner service reuses entries across scans instead of
 //! re-allocating them.
