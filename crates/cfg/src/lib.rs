@@ -8,13 +8,14 @@
 //! * [`lower_program`] lowers each parsed PHP function body and the
 //!   top-level script into a [`Cfg`] of basic blocks connected by branch,
 //!   loop, and try edges ([`graph`]).
-//! * [`Dominators`] computes the dominator tree of a graph with the
-//!   iterative Cooper–Harvey–Kennedy algorithm ([`dominators`]).
-//! * [`ReachingDefs`] runs a classic gen/kill reaching-definitions
-//!   dataflow for simple variables ([`reach`]).
-//! * [`GuardAnalysis`] answers "is this sink span dominated by a
-//!   validation guard on the tainted variable?" for the known validators
-//!   (`is_numeric`, `is_int`, `preg_match`, `in_array`, cast guards, ...)
+//! * One forward gen/kill bitset solver, a worklist over a [`Cfg`] with
+//!   a union or an intersection meet and optional per-edge gen sets,
+//!   is the crate's only fixpoint (`dataflow`).
+//! * [`GuardAnalysis`] answers "did a validation guard on the tainted
+//!   variable necessarily run before this sink, with no redefinition
+//!   since?" for the known validators (`is_numeric`, `is_int`,
+//!   `preg_match`, `in_array`, cast guards, ...) with two instances of
+//!   that solver: guard-edge facts (must) and sanitizing-def kinds (may)
 //!   ([`guard`]).
 //! * [`RuleSet`] hosts the unified rule engine ([`rules`]): builtin
 //!   lints (unguarded sinks, unreachable code after exit,
@@ -49,15 +50,13 @@
 
 #![warn(missing_docs)]
 
-pub mod dominators;
+mod dataflow;
 pub mod graph;
 pub mod guard;
 pub mod lint;
-pub mod reach;
 pub mod rules;
 pub mod values;
 
-pub use dominators::Dominators;
 pub use graph::{lower_program, lower_stmts, Block, BlockId, Cfg, Edge, FileCfgs, Guard, Node};
 pub use guard::{GuardAnalysis, GuardFact};
 pub use lint::{
@@ -65,7 +64,6 @@ pub use lint::{
     RULE_ASSIGN_IN_COND, RULE_TAINTED_SINK, RULE_UNGUARDED_SINK, RULE_UNREACHABLE,
     RULE_UNRESOLVED_INCLUDE,
 };
-pub use reach::{DefSite, ReachingDefs};
 pub use rules::{
     builtin_specs, CompiledRule, FileFacts, MatchSpec, Pattern, RuleError, RuleSet, RuleSpec,
 };
