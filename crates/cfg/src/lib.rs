@@ -69,5 +69,5 @@ pub use rules::{
 };
 pub use values::{
     analyze_file_values, dynamic_include_sites, summarize_values, AbstractValue, FileValues,
-    SinkContext, ValueResolution, ValueSummary,
+    ScanSet, SinkContext, ValueResolution, ValueSummary,
 };

@@ -500,15 +500,24 @@ impl RuleSet {
                 continue;
             }
             for (i, node) in block.nodes.iter().enumerate() {
+                // synthesized entry nodes (empty spans) print nothing
+                let text = match source {
+                    Some(s) if !node.span.is_empty() => slice_span(s, node.span),
+                    _ => None,
+                };
+                // normalized once per node, on the first rule that needs it
+                let mut normalized: Option<Vec<char>> = None;
                 for rule in &self.rules {
                     if let CompiledMatcher::Pattern { pattern } = &rule.matcher {
-                        if node.span.is_empty() {
-                            continue; // synthesized entry nodes print nothing
-                        }
-                        let Some(text) = source.and_then(|s| slice_span(s, node.span)) else {
+                        let Some(text) = text else {
                             continue;
                         };
-                        if pattern.matches(&normalize_ws(text), node.span.start(), facts) {
+                        if !pattern.may_match(text) {
+                            continue;
+                        }
+                        let chars =
+                            normalized.get_or_insert_with(|| normalize_ws(text).chars().collect());
+                        if pattern.matches(chars, node.span.start(), facts) {
                             out.push(LintFinding {
                                 rule_id: rule.id.clone(),
                                 severity: rule.severity,
@@ -1228,6 +1237,9 @@ fn binding_values(bound: &str, offset: u32, facts: &FileFacts<'_>) -> Option<Vec
 #[derive(Debug, Clone)]
 struct StmtPattern {
     elems: Vec<Elem>,
+    /// The longest `Lit` element, the prefilter: a statement whose raw
+    /// text lacks it cannot match. `None` when the pattern has no `Lit`.
+    literal: Option<String>,
     /// Constraint per metavariable index (parallel to `names`).
     constraints: Vec<Option<Constraint>>,
     names: Vec<String>,
@@ -1313,11 +1325,29 @@ impl StmtPattern {
                     .map_err(|e| format!("where-constraint on ${name}: {e}"))?,
             );
         }
+        let literal = elems
+            .iter()
+            .filter_map(|e| match e {
+                Elem::Lit(l) => Some(l),
+                _ => None,
+            })
+            .max_by_key(|l| l.len())
+            .map(|l| l.iter().collect());
         Ok(StmtPattern {
             elems,
+            literal,
             constraints: compiled,
             names,
         })
+    }
+
+    /// The literal prefilter over a statement's *raw* source text. Exact:
+    /// a `Lit` holds no whitespace, since compilation normalizes the
+    /// pattern and turns its spaces into `OptSpace`, and normalization
+    /// only collapses whitespace runs, so a `Lit` occurs in the
+    /// normalized text only if it occurs verbatim in the raw text.
+    fn may_match(&self, raw: &str) -> bool {
+        self.literal.as_deref().is_none_or(|lit| raw.contains(lit))
     }
 
     /// Whether any `where` constraint is a semantic predicate chain.
@@ -1329,14 +1359,13 @@ impl StmtPattern {
     }
 
     /// Whether the pattern matches anywhere in the (whitespace-normalized)
-    /// statement text. `offset` is the statement's source offset and
-    /// `facts` the file's semantic facts, consumed by predicate
+    /// statement text, given as chars. `offset` is the statement's source
+    /// offset and `facts` the file's semantic facts, consumed by predicate
     /// constraints.
-    fn matches(&self, text: &str, offset: u32, facts: &FileFacts<'_>) -> bool {
-        let chars: Vec<char> = text.chars().collect();
+    fn matches(&self, chars: &[char], offset: u32, facts: &FileFacts<'_>) -> bool {
         let mut bindings: Vec<Option<(usize, usize)>> = vec![None; self.names.len()];
         for start in 0..chars.len() + 1 {
-            if self.match_elems(&self.elems, &chars, start, &mut bindings, offset, facts) {
+            if self.match_elems(&self.elems, chars, start, &mut bindings, offset, facts) {
                 return true;
             }
         }
@@ -1701,6 +1730,72 @@ mod tests {
         assert!(run_set("<?php $h = md5($salt);", &set).is_empty());
     }
 
+    /// `set` with every pattern's literal prefilter switched off.
+    fn without_prefilter(set: &RuleSet) -> RuleSet {
+        let mut set = set.clone();
+        for rule in &mut set.rules {
+            if let CompiledMatcher::Pattern { pattern } = &mut rule.matcher {
+                pattern.literal = None;
+            }
+        }
+        set
+    }
+
+    #[test]
+    fn literal_prefilter_never_changes_findings() {
+        // the statement patterns of the `wordpress` and `generic-php`
+        // packs, plus one with no literal at all
+        let specs: Vec<RuleSpec> = [
+            (
+                "wp-unvalidated-extract",
+                "extract( $X )",
+                r"^\$_(GET|POST|REQUEST)",
+            ),
+            ("gp-tainted-query", "mysql_query( $X )", "tainted($X)"),
+            ("gp-constant-eval", "eval( $X )", "const($X)"),
+            ("any-get", "$X", r"^\$_GET"),
+        ]
+        .into_iter()
+        .map(|(id, pattern, constraint)| RuleSpec {
+            id: id.to_string(),
+            severity: "warning".to_string(),
+            summary: String::new(),
+            message: id.to_string(),
+            pack: None,
+            matcher: MatchSpec::Pattern {
+                pattern: pattern.to_string(),
+                constraints: vec![("X".to_string(), constraint.to_string())],
+            },
+        })
+        .collect();
+        let set = RuleSet::compile(&specs).unwrap();
+        let literals: Vec<Option<&str>> = set
+            .rules
+            .iter()
+            .map(|r| match &r.matcher {
+                CompiledMatcher::Pattern { pattern } => pattern.literal.as_deref(),
+                _ => unreachable!("pattern rules only"),
+            })
+            .collect();
+        assert_eq!(
+            literals,
+            [Some("extract("), Some("mysql_query("), Some("eval("), None]
+        );
+
+        let src = "<?php\nextract(\n $_REQUEST\n);\nextract(\t$_POST);\nextract(     $_GET   );\n\
+                   extract ( $_GET );\nextract($safe);\nmysql_query(\n\t$_GET['q']);\n\
+                   mysql_query('SELECT 1');\neval(   'return 1;'  );\neval($code);\n\
+                   echo $_GET['x'];\n$y = 1;\n";
+        let with = run_set(src, &set);
+        assert_eq!(with, run_set(src, &without_prefilter(&set)));
+        let fired = |id: &str| with.iter().filter(|f| f.rule_id.ends_with(id)).count();
+        // the three split `extract(` calls; `extract (` matches neither way
+        assert_eq!(fired("WP-UNVALIDATED-EXTRACT"), 3, "{with:?}");
+        assert_eq!(fired("GP-TAINTED-QUERY"), 1, "{with:?}");
+        assert_eq!(fired("GP-CONSTANT-EVAL"), 1, "{with:?}");
+        assert_eq!(fired("ANY-GET"), 4, "{with:?}");
+    }
+
     fn pattern_rule(pattern: &str, constraint: &str) -> RuleSet {
         RuleSet::compile(&[RuleSpec {
             id: "pred".to_string(),
@@ -1757,7 +1852,7 @@ mod tests {
             "test.php",
             &program,
             &std::collections::HashMap::new(),
-            &BTreeSet::new(),
+            &crate::values::ScanSet::default(),
         );
         let facts = FileFacts {
             tainted_vars: None,
@@ -1786,7 +1881,7 @@ mod tests {
             "test.php",
             &program,
             &std::collections::HashMap::new(),
-            &BTreeSet::new(),
+            &crate::values::ScanSet::default(),
         );
         let facts = FileFacts {
             tainted_vars: None,
@@ -1800,7 +1895,7 @@ mod tests {
             "test.php",
             &program,
             &std::collections::HashMap::new(),
-            &BTreeSet::new(),
+            &crate::values::ScanSet::default(),
         );
         let facts = FileFacts {
             tainted_vars: None,

@@ -55,6 +55,7 @@
 //! dependence reaches any output.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use wap_php::ast::*;
 use wap_php::flow::{self, AbstractWalk, Lattice};
@@ -417,8 +418,12 @@ pub struct FileValues {
     pub resolution: ValueResolution,
     /// Environment before each executed statement, keyed by the
     /// statement's `span.start()`. Only non-⊤ bindings are stored.
-    snapshots: BTreeMap<u32, HashMap<Symbol, AbstractValue>>,
+    /// Consecutive statements that see the same bindings share one map.
+    snapshots: BTreeMap<u32, Arc<Snapshot>>,
 }
+
+/// The known (non-⊤, non-⊥) bindings before one statement.
+type Snapshot = HashMap<Symbol, AbstractValue>;
 
 impl FileValues {
     /// The abstract value of `var` at source offset `offset`: the binding
@@ -507,37 +512,59 @@ pub fn dynamic_include_sites(program: &Program) -> Vec<Span> {
     v.0
 }
 
-/// Phase B: analyzes one file against merged summaries. `known_files`
-/// is the scan set's file names — include paths resolve against it and
-/// never touch the filesystem.
+/// The scan set's file names, keyed for include resolution. Built once
+/// per scan and shared by every [`analyze_file_values`] call.
+///
+/// Names arrive however the caller collected them (bare, `./`-prefixed,
+/// absolute). Candidate include paths are normalized before matching, so
+/// the set is keyed the same way, and each key maps back to the *raw*
+/// name: that is what downstream consumers (the taint engine's program
+/// table, the pipeline's resolution map) look targets up by. When two
+/// names normalize alike, the first in sorted order wins.
+#[derive(Debug, Clone, Default)]
+pub struct ScanSet {
+    /// Normalized name → the raw name as the caller spelled it.
+    by_normalized: BTreeMap<String, String>,
+}
+
+impl ScanSet {
+    /// Keys every name of the scan set by its normalized path.
+    pub fn new(known_files: &BTreeSet<String>) -> ScanSet {
+        let mut by_normalized = BTreeMap::new();
+        for name in known_files {
+            by_normalized
+                .entry(normalize_path(name))
+                .or_insert_with(|| name.clone());
+        }
+        ScanSet { by_normalized }
+    }
+
+    /// The raw scan-set name `path` names, if any.
+    fn resolve(&self, path: &str) -> Option<&String> {
+        self.by_normalized.get(&normalize_path(path))
+    }
+}
+
+/// Phase B: analyzes one file against merged summaries. Include paths
+/// resolve against `scan_set` and never touch the filesystem.
 pub fn analyze_file_values(
     file: &str,
     program: &Program,
     summaries: &HashMap<Symbol, ValueSummary>,
-    known_files: &BTreeSet<String>,
+    scan_set: &ScanSet,
 ) -> FileValues {
     let dir = match file.rsplit_once('/') {
         Some((d, _)) => d.to_string(),
         None => String::new(),
     };
-    // Scan-set names arrive however the caller collected them (bare,
-    // "./"-prefixed, absolute). Candidate include paths are normalized
-    // before matching, so the scan set must be keyed the same way — and
-    // the *raw* name is what downstream consumers (the taint engine's
-    // program table, the pipeline's resolution map) look targets up by.
-    let mut canonical: BTreeMap<String, String> = BTreeMap::new();
-    for name in known_files {
-        canonical
-            .entry(normalize_path(name))
-            .or_insert_with(|| name.clone());
-    }
     let mut interp = Interp {
         file,
         dir,
         summaries,
-        known_files: &canonical,
+        scan_set,
         constants: HashMap::new(),
         out: FileValues::default(),
+        last_snapshot: None,
         loop_nest: 0,
     };
     let mut env = Env::new();
@@ -559,11 +586,12 @@ struct Interp<'a> {
     /// relative include resolution.
     dir: String,
     summaries: &'a HashMap<Symbol, ValueSummary>,
-    /// Normalized scan-set name → the raw name as the caller spelled it.
-    known_files: &'a BTreeMap<String, String>,
+    scan_set: &'a ScanSet,
     /// `define()`d constants seen in this file.
     constants: HashMap<Symbol, AbstractValue>,
     out: FileValues,
+    /// The most recently recorded snapshot, reused while bindings hold.
+    last_snapshot: Option<Arc<Snapshot>>,
     /// Loops enclosing the walked statement (see [`flow::MAX_LOOP_NEST`]).
     loop_nest: usize,
 }
@@ -576,13 +604,23 @@ impl<'p> AbstractWalk<'p> for Interp<'_> {
     }
 
     /// Records the environment before the statement, for point queries.
+    /// A statement whose known bindings equal the last snapshot's shares
+    /// that snapshot instead of copying the environment again.
     fn before_stmt(&mut self, env: &Env, stmt: &'p Stmt) {
-        let filtered: HashMap<Symbol, AbstractValue> = env
-            .iter()
-            .filter(|(_, v)| !matches!(v, AbstractValue::Top | AbstractValue::Bot))
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        self.out.snapshots.insert(stmt.span.start(), filtered);
+        let snapshot = match &self.last_snapshot {
+            Some(last) if same_known_bindings(env, last) => Arc::clone(last),
+            _ => {
+                let fresh: Arc<Snapshot> = Arc::new(
+                    env.iter()
+                        .filter(|(_, v)| is_known(v))
+                        .map(|(k, v)| (*k, v.clone()))
+                        .collect(),
+                );
+                self.last_snapshot = Some(Arc::clone(&fresh));
+                fresh
+            }
+        };
+        self.out.snapshots.insert(stmt.span.start(), snapshot);
     }
 
     fn bind_foreach(
@@ -822,13 +860,11 @@ impl Interp<'_> {
     /// as spelled, then relative to the including file's directory.
     /// Purely name-based — never reads the filesystem.
     fn resolve_path(&self, path: &str) -> Option<String> {
-        let direct = normalize_path(path);
-        if let Some(raw) = self.known_files.get(&direct) {
+        if let Some(raw) = self.scan_set.resolve(path) {
             return Some(raw.clone());
         }
         if !self.dir.is_empty() {
-            let joined = normalize_path(&format!("{}/{}", self.dir, path));
-            if let Some(raw) = self.known_files.get(&joined) {
+            if let Some(raw) = self.scan_set.resolve(&format!("{}/{}", self.dir, path)) {
                 return Some(raw.clone());
             }
         }
@@ -953,6 +989,24 @@ fn is_function_name(s: &str) -> bool {
 }
 
 /// Collapses `.`/`..`/empty segments of a virtual path.
+/// Whether a binding is worth a snapshot entry: ⊤ and ⊥ say nothing.
+fn is_known(v: &AbstractValue) -> bool {
+    !matches!(v, AbstractValue::Top | AbstractValue::Bot)
+}
+
+/// Whether `env`'s known bindings are exactly `snapshot`, without
+/// building the filtered map.
+fn same_known_bindings(env: &Env, snapshot: &Snapshot) -> bool {
+    let mut known = 0usize;
+    for (k, v) in env.iter().filter(|(_, v)| is_known(v)) {
+        if snapshot.get(k) != Some(v) {
+            return false;
+        }
+        known += 1;
+    }
+    known == snapshot.len()
+}
+
 fn normalize_path(p: &str) -> String {
     let mut parts: Vec<&str> = Vec::new();
     for seg in p.split('/') {
@@ -1043,7 +1097,7 @@ mod tests {
             summaries.entry(n).or_insert(s);
         }
         let known: BTreeSet<String> = known.iter().map(|s| s.to_string()).collect();
-        analyze_file_values(file, &program, &summaries, &known)
+        analyze_file_values(file, &program, &summaries, &ScanSet::new(&known))
     }
 
     #[test]
@@ -1289,6 +1343,84 @@ mod tests {
         let sites = dynamic_include_sites(&p);
         assert_eq!(sites.len(), 2);
         assert!(sites[0].start() < sites[1].start());
+    }
+
+    #[test]
+    fn unchanged_statements_share_one_snapshot() {
+        let src = r#"<?php
+            $a = "x";
+            echo $a;
+            echo "y";
+            $b = 1;
+            echo $b;
+            echo $a . $b;
+            $a = $_GET['a'];
+            echo $a;
+            "#;
+        let v = values_for("s.php", src, &["s.php"]);
+        let offsets: Vec<u32> = v.snapshots.keys().copied().collect();
+        assert_eq!(offsets.len(), 8);
+        let (a, b) = (Symbol::intern("a"), Symbol::intern("b"));
+        let x = AbstractValue::exact("x");
+        let one = AbstractValue::Num(1);
+        let expected: [(Option<&AbstractValue>, Option<&AbstractValue>); 8] = [
+            (None, None),
+            (Some(&x), None),
+            (Some(&x), None),
+            (Some(&x), None),
+            (Some(&x), Some(&one)),
+            (Some(&x), Some(&one)),
+            (Some(&x), Some(&one)),
+            (None, Some(&one)),
+        ];
+        for (off, want) in offsets.iter().zip(expected) {
+            assert_eq!((v.value_at(a, *off), v.value_at(b, *off)), want, "at {off}");
+        }
+        // statements that change no binding reuse the previous map
+        let shared =
+            |i: usize, j: usize| Arc::ptr_eq(&v.snapshots[&offsets[i]], &v.snapshots[&offsets[j]]);
+        assert!(shared(1, 2) && shared(2, 3));
+        assert!(shared(4, 5) && shared(5, 6));
+        assert!(!shared(3, 4) && !shared(6, 7));
+
+        let unshared = FileValues {
+            resolution: v.resolution.clone(),
+            snapshots: v
+                .snapshots
+                .iter()
+                .map(|(off, env)| (*off, Arc::new(Snapshot::clone(env))))
+                .collect(),
+        };
+        for off in &offsets {
+            for var in [a, b] {
+                assert_eq!(v.value_at(var, *off), unshared.value_at(var, *off));
+            }
+        }
+        assert_eq!(v.facts_fingerprint(), unshared.facts_fingerprint());
+    }
+
+    #[test]
+    fn scan_set_resolves_every_spelling_to_the_raw_name() {
+        let names: BTreeSet<String> = ["index.php", "./lib/db.php", "a//b.php", "/srv/app/c.php"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let set = ScanSet::new(&names);
+        let resolve = |p: &str| set.resolve(p).map(String::as_str);
+        assert_eq!(resolve("index.php"), Some("index.php"));
+        assert_eq!(resolve("./index.php"), Some("index.php"));
+        assert_eq!(resolve("lib/db.php"), Some("./lib/db.php"));
+        assert_eq!(resolve("lib/../lib/db.php"), Some("./lib/db.php"));
+        assert_eq!(resolve("a/b.php"), Some("a//b.php"));
+        assert_eq!(resolve("/srv/app/c.php"), Some("/srv/app/c.php"));
+        assert_eq!(resolve("srv/app/c.php"), Some("/srv/app/c.php"));
+        assert_eq!(resolve("missing.php"), None);
+        // two spellings of one file: the first in sorted order wins
+        let names: BTreeSet<String> = ["x.php", "./x.php"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            ScanSet::new(&names).resolve("x.php").map(String::as_str),
+            Some("./x.php")
+        );
     }
 
     #[test]

@@ -167,8 +167,9 @@ FLAGS:
                           lint pass; repeatable, implies --lint. Manage packs
                           with the `wap rules` subcommand
     --rules-dir <DIR>     rule-pack store (default: WAP_RULES_DIR, then .wap-rules/)
-    --guards              refine symptom vectors with CFG dominator guard
-                          analysis before false-positive prediction
+    --guards              refine symptom vectors with CFG guard analysis
+                          (validators proven to run on every path to the
+                          sink) before false-positive prediction
     --values              interprocedural constant/string value analysis:
                           resolve dynamic includes and calls into extra taint
                           edges, refine predictions with sink value contexts
@@ -305,33 +306,52 @@ pub fn positive_arg<T: std::str::FromStr + Default + PartialEq>(
 
 /// Recursively collects `.php` files under the given paths, sorted.
 ///
+/// The given paths are followed even when they are symlinks. Inside the
+/// walk, symlinked directories are not entered, and a symlink is
+/// collected only when it resolves to a regular `.php` file: dangling
+/// links and link cycles are skipped.
+///
 /// # Errors
 ///
-/// Returns [`WapError::Io`] (with the offending path) on traversal
-/// failures.
+/// Returns [`WapError::Usage`] for a given path that does not exist and
+/// [`WapError::Io`] (with the offending path) on traversal failures.
 pub fn collect_php_files(paths: &[PathBuf]) -> Result<Vec<PathBuf>, WapError> {
     let mut out = Vec::new();
     for p in paths {
-        collect_into(p, &mut out)?;
+        if !p.exists() {
+            return Err(WapError::usage(format!("no such path: {}", p.display())));
+        }
+        if p.is_dir() {
+            walk_dir(p, &mut out)?;
+        } else if is_php(p) {
+            out.push(p.clone());
+        }
     }
     out.sort();
     out.dedup();
     Ok(out)
 }
 
-fn collect_into(path: &Path, out: &mut Vec<PathBuf>) -> Result<(), WapError> {
-    if !path.exists() {
-        return Err(WapError::usage(format!("no such path: {}", path.display())));
-    }
-    if path.is_dir() {
-        for entry in std::fs::read_dir(path).map_err(|e| WapError::io(path, e))? {
-            let entry = entry.map_err(|e| WapError::io(path, e))?;
-            collect_into(&entry.path(), out)?;
+fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), WapError> {
+    for entry in std::fs::read_dir(dir).map_err(|e| WapError::io(dir, e))? {
+        let entry = entry.map_err(|e| WapError::io(dir, e))?;
+        let path = entry.path();
+        let kind = entry.file_type().map_err(|e| WapError::io(&path, e))?;
+        // `file_type` does not follow links: symlinked directories are
+        // never entered, so link cycles cannot recurse
+        if kind.is_dir() {
+            walk_dir(&path, out)?;
+        } else if is_php(&path)
+            && (!kind.is_symlink() || std::fs::metadata(&path).is_ok_and(|m| m.is_file()))
+        {
+            out.push(path);
         }
-    } else if path.extension().map(|e| e == "php").unwrap_or(false) {
-        out.push(path.to_path_buf());
     }
     Ok(())
+}
+
+fn is_php(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "php")
 }
 
 /// Builds the tool from options (loading weapons, registering sanitizers,
@@ -1047,6 +1067,38 @@ mod tests {
         let err = collect_php_files(&[PathBuf::from("/no/such/wap/dir")]).unwrap_err();
         assert!(matches!(err, WapError::Usage(_)), "{err}");
         assert_eq!(err.exit_code(), 2);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn symlinks_inside_the_tree_do_not_abort_the_scan() {
+        use std::os::unix::fs::symlink;
+        let dir = std::env::temp_dir().join(format!("wap-cli-symlinks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        std::fs::write(dir.join("v.php"), "<?php echo $_GET['v'];\n").unwrap();
+        symlink("missing.php", dir.join("dangling.php")).unwrap();
+        symlink("..", dir.join("sub/loop")).unwrap();
+        symlink("v.php", dir.join("alias.php")).unwrap();
+
+        let files = collect_php_files(std::slice::from_ref(&dir)).unwrap();
+        assert_eq!(files, vec![dir.join("alias.php"), dir.join("v.php")]);
+        let opts = CliOptions {
+            paths: vec![dir.clone()],
+            json: true,
+            ..Default::default()
+        };
+        let (code, output) = run(&opts).unwrap();
+        assert_eq!(code, 1, "{output}");
+        let report = wap_json::Value::parse(&output).unwrap();
+        let files: Vec<&str> = report["findings"]
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(|f| f["file"].as_str())
+            .collect();
+        assert!(files.iter().any(|f| f.ends_with("/v.php")), "{output}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1008,7 +1008,7 @@ struct Values {
     /// Merged function value summaries, once some stage computed them.
     summaries: Option<HashMap<Symbol, wap_cfg::ValueSummary>>,
     /// Scan-set file names — the include-resolution target universe.
-    known: BTreeSet<String>,
+    scan_set: wap_cfg::ScanSet,
 }
 
 impl Values {
@@ -1060,7 +1060,7 @@ fn values_stage(
         facts: files.iter().map(|_| None).collect(),
         replayed: files.iter().map(|_| None).collect(),
         summaries: None,
-        known: files.iter().map(|f| f.name.clone()).collect(),
+        scan_set: wap_cfg::ScanSet::new(&files.iter().map(|f| f.name.clone()).collect()),
     };
     let mut entry_keys = Vec::new();
     if let Some(k) = keys {
@@ -1136,11 +1136,11 @@ fn derive_values(
     let summaries: &HashMap<_, _> = v.summaries.get_or_insert_with(|| {
         compute_value_summaries(&scan.runtime, programs.len(), |i| programs[i].get())
     });
-    let known = &v.known;
+    let scan_set = &v.scan_set;
     let computed = scan.runtime.map(todo.to_vec(), |_, i| {
         let _span = scan.obs.span_file(Phase::Values, &files[i].name);
         let program = programs[i].get().expect("parsed for values");
-        wap_cfg::analyze_file_values(&files[i].name, program, summaries, known)
+        wap_cfg::analyze_file_values(&files[i].name, program, summaries, scan_set)
     });
     ns.values += elapsed_ns(t);
     for (&i, fv) in todo.iter().zip(computed) {

@@ -64,8 +64,8 @@ pub struct ToolConfig {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanOptions {
     /// Refine collected symptom vectors with CFG guard analysis
-    /// (`--guards`, `wap-cfg`): validation symptoms the dominator
-    /// analysis cannot prove to guard the sink are cleared before
+    /// (`--guards`, `wap-cfg`): validation symptoms the guard analysis
+    /// cannot prove to run on every path to the sink are cleared before
     /// prediction.
     pub guards: bool,
     /// Interprocedural constant/string value analysis (`--values`,
@@ -608,12 +608,12 @@ impl WapTool {
                     crate::incremental::compute_value_summaries(&runtime, inputs.len(), |i| {
                         Some(inputs[i].1)
                     });
-                let known: std::collections::BTreeSet<String> =
-                    inputs.iter().map(|(n, _)| n.to_string()).collect();
+                let scan_set =
+                    wap_cfg::ScanSet::new(&inputs.iter().map(|(n, _)| n.to_string()).collect());
                 let facts = runtime.run(inputs.len(), |i| {
                     let (name, program) = inputs[i];
                     let _span = obs.span_file(Phase::Values, name);
-                    wap_cfg::analyze_file_values(name, program, &summaries, &known)
+                    wap_cfg::analyze_file_values(name, program, &summaries, &scan_set)
                 });
                 computed_values = inputs
                     .iter()
@@ -836,7 +836,7 @@ pub(crate) fn refine_with_values(
     }
 }
 
-/// Clears validation symptoms the CFG dominator analysis cannot prove to
+/// Clears validation symptoms the CFG guard analysis cannot prove to
 /// guard this candidate's sink ([`ScanOptions::guards`] mode). Symptoms the
 /// guard analysis *does* prove — a dominating `is_numeric`, a cast on a
 /// tainted carrier — survive, so the predictor sees only validations

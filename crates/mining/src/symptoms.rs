@@ -156,8 +156,9 @@ pub fn collect(
 }
 
 /// Refines a collected vector with CFG guard facts: *type checking* and
-/// *pattern control* symptoms that the dominator-based guard analysis
-/// could **not** prove to dominate the sink are cleared.
+/// *pattern control* symptoms that the guard analysis could **not** prove
+/// to run on every path to the sink, with no redefinition since, are
+/// cleared.
 ///
 /// The plain collector counts any validation call that touches the flow's
 /// variables, even on a branch the sink never takes; `guarded` holds the
