@@ -182,20 +182,19 @@ fn measure() -> Measurement {
     // CFG/lint pass cost, reported but outside the gate: the pass is
     // compiled in yet off by default, so the gated sweeps above never
     // pay for it
-    let guarded_report = WapTool::new(ToolConfig::builder().jobs(1).build())
+    let lint_report = WapTool::new(ToolConfig::builder().jobs(1).build())
         .scan(
             &sources,
             &ScanOptions {
-                guards: true,
                 lint: Some(Vec::new()),
                 ..ScanOptions::default()
             },
         )
         .expect("builtin lint rules always compile");
     println!(
-        "ci_bench: cfg phase {} ms, lint phase {} ms (opt-in --guards/--lint, not gated)",
-        guarded_report.stats.phase_ns(Phase::Cfg) / 1_000_000,
-        guarded_report.stats.phase_ns(Phase::Lint) / 1_000_000
+        "ci_bench: cfg phase {} ms, lint phase {} ms (opt-in --lint, not gated)",
+        lint_report.stats.phase_ns(Phase::Cfg) / 1_000_000,
+        lint_report.stats.phase_ns(Phase::Lint) / 1_000_000
     );
 
     // values sweep: the interprocedural value analysis on a cold scan —

@@ -90,9 +90,9 @@ pub struct CliOptions {
     /// Rule-pack store location (`--rules-dir`); `None` falls back to the
     /// `WAP_RULES_DIR` environment variable, then `.wap-rules/`.
     pub rules_dir: Option<PathBuf>,
-    /// Refine symptom vectors with CFG guard analysis before prediction
-    /// (`--guards`). Off by default so the headline reproduction stays
-    /// bit-identical to the paper's plain symptom collector.
+    /// Inert: no argument sets it and no scan reads it. It stays only
+    /// because the benchmark harness (`bench/src/scan.rs`) still sets and
+    /// reads it; delete it once that harness no longer does.
     pub guards: bool,
     /// Run the interprocedural value analysis (`--values`): resolve
     /// dynamic includes/calls into extra taint edges and refine symptom
@@ -167,9 +167,6 @@ FLAGS:
                           lint pass; repeatable, implies --lint. Manage packs
                           with the `wap rules` subcommand
     --rules-dir <DIR>     rule-pack store (default: WAP_RULES_DIR, then .wap-rules/)
-    --guards              refine symptom vectors with CFG guard analysis
-                          (validators proven to run on every path to the
-                          sink) before false-positive prediction
     --values              interprocedural constant/string value analysis:
                           resolve dynamic includes and calls into extra taint
                           edges, refine predictions with sink value contexts
@@ -234,7 +231,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                 let d = it.next().ok_or("--rules-dir needs a directory")?;
                 opts.rules_dir = Some(PathBuf::from(d));
             }
-            "--guards" => opts.guards = true,
             "--values" => opts.values = true,
             "--weapon" => {
                 let f = it.next().ok_or("--weapon needs a file path")?;
@@ -370,7 +366,6 @@ pub fn build_tool(opts: &CliOptions) -> Result<WapTool, WapError> {
     config.jobs = opts.jobs.or_else(wap_runtime::jobs_from_env);
     config.cache_dir = opts.cache_dir.clone();
     config.trace = opts.trace.is_some() || opts.stats;
-    config.scan.guards = opts.guards;
     config.scan.values = opts.values;
     let mut packs = Vec::with_capacity(opts.rules.len());
     if !opts.rules.is_empty() {
@@ -695,7 +690,6 @@ mod tests {
             "--lint",
             "--rules",
             "--rules-dir",
-            "--guards",
             "--values",
         ] {
             assert!(USAGE.contains(flag), "usage missing {flag}");
@@ -740,15 +734,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_lint_and_guards_flags() {
+    fn parse_lint_flag() {
         let o = parse_args(args(&["--lint", "f.php"])).unwrap();
         assert!(o.lint);
-        assert!(!o.guards);
-        let o = parse_args(args(&["--guards", "f.php"])).unwrap();
-        assert!(o.guards);
-        assert!(!o.lint);
         let o = parse_args(args(&["f.php"])).unwrap();
-        assert!(!o.lint && !o.guards);
+        assert!(!o.lint);
+        // there is no guard refinement to turn on
+        assert!(parse_args(args(&["--guards", "f.php"])).is_err());
         assert_eq!(
             parse_args(args(&["--fail-on", "lint", "f.php"]))
                 .unwrap()
@@ -825,21 +817,6 @@ mod tests {
             ..Default::default()
         };
         assert!(!build_tool(&plain).unwrap().config().scan.values);
-    }
-
-    #[test]
-    fn guards_flag_reaches_tool_config() {
-        let opts = CliOptions {
-            paths: vec![PathBuf::from(".")],
-            guards: true,
-            ..Default::default()
-        };
-        assert!(build_tool(&opts).unwrap().config().scan.guards);
-        let plain = CliOptions {
-            paths: vec![PathBuf::from(".")],
-            ..Default::default()
-        };
-        assert!(!build_tool(&plain).unwrap().config().scan.guards);
     }
 
     #[test]

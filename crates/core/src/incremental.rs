@@ -45,8 +45,8 @@ use wap_taint::{
 use wap_obs::{JobHandle, Phase};
 
 use crate::pipeline::{
-    elapsed_ns, refine_with_cfg, refine_with_values, scan_stats, AppReport, Finding, ScanArtifacts,
-    ScanOptions, WapTool,
+    elapsed_ns, refine_with_values, scan_stats, AppReport, Finding, ScanArtifacts, ScanOptions,
+    WapTool,
 };
 
 /// Bumped whenever key derivation or any payload layout in this module
@@ -108,16 +108,18 @@ fn findings_key(
 
 /// Everything cached runs need to know about what analysis they are
 /// running: catalog contents (weapons included), generation, training
-/// seed, analysis options, and whether this scan refines with CFG guards
-/// or value analysis. Any difference must yield disjoint keys. Lint packs
-/// are not part of it: they key only the `cfg` entries ([`cfg_lint_key`]).
+/// seed, analysis options, and whether this scan runs value analysis.
+/// Any difference must yield disjoint keys. Lint packs are not part of
+/// it: they key only the `cfg` entries ([`cfg_lint_key`]).
 pub(crate) fn config_fingerprint(tool: &WapTool, options: &ScanOptions) -> String {
     let base = [
         tool.catalog.fingerprint_material(),
         format!("{:?}", tool.config.generation),
         tool.config.seed.to_string(),
         format!("{:?}", tool.config.analysis),
-        format!("guards:{}", options.guards),
+        // the deleted guard refinement's field, kept so existing caches
+        // stay warm
+        "guards:false".to_string(),
     ];
     // the field joins only when value analysis is on, so value-less
     // fingerprints stay identical to the historical four-field scheme
@@ -622,7 +624,6 @@ struct Ns {
     taint: u64,
     predict: u64,
     cache: u64,
-    cfg: u64,
     values: u64,
 }
 
@@ -636,12 +637,11 @@ struct Keys<'a> {
 }
 
 /// The analysis pipeline: decl/parse, values (`--values`), taint passes
-/// 1 and 2, guard CFGs (`--guards`), symptoms + vote. With a store, each
-/// stage looks its entries up, computes the misses and stores them. With
-/// none, every file is a miss and no content hash, decl record, digest or
-/// payload is built. Either way the report is byte-identical, and the
-/// programs, CFGs and value facts derived on the way come back for the
-/// lint pass.
+/// 1 and 2, symptoms + vote. With a store, each stage looks its entries
+/// up, computes the misses and stores them. With none, every file is a
+/// miss and no content hash, decl record, digest or payload is built. Either way the report is byte-identical, and the
+/// programs and value facts derived on the way come back for the lint
+/// pass.
 ///
 /// Returns `None` when the store turns out unsuitable: duplicate file
 /// names, a decl entry the parser now contradicts, or a pass that reached
@@ -763,7 +763,7 @@ pub(crate) fn analyze(
     }
     let candidates = dedup_and_sort(candidates);
 
-    let (findings, cfgs) = findings_stage(
+    let findings = findings_stage(
         &scan,
         &files,
         &programs,
@@ -782,7 +782,6 @@ pub(crate) fn analyze(
         })
     });
     let mut stats = scan_stats(obs, ns.parse, ns.taint, ns.predict, ns.cache);
-    stats.set_phase_ns(Phase::Cfg, ns.cfg);
     if values.is_some() {
         stats.set_phase_ns(Phase::Values, ns.values);
     }
@@ -815,13 +814,11 @@ pub(crate) fn analyze(
     let mut artifacts = ScanArtifacts {
         programs: (0..n).map(|_| None).collect(),
         parse_failed: vec![true; n],
-        cfgs: (0..n).map(|_| None).collect(),
         values: None,
     };
-    for ((f, program), cfgs) in files.iter().zip(programs).zip(cfgs) {
+    for (f, program) in files.iter().zip(programs) {
         artifacts.parse_failed[f.src] = false;
         artifacts.programs[f.src] = program.into_inner();
-        artifacts.cfgs[f.src] = cfgs;
     }
     if let Some(v) = values.filter(|v| v.facts.iter().all(Option::is_some)) {
         let facts = files
@@ -1310,12 +1307,11 @@ fn taint_pass(
 
 /// Symptoms + vote over the sorted candidate stream, one group per file.
 /// With a store, every group's findings entry is looked up and only the
-/// missing groups are voted — with CFGs lowered (`--guards`) and value
-/// facts derived for their files alone — then written back; with none,
-/// every group is voted. The lint pass reads every file's value facts, so
-/// with it on they are all derived here. Returns the findings and the
-/// CFGs lowered, by file index.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// missing groups are voted — with value facts derived for their files
+/// alone — then written back; with none, every group is voted. The lint
+/// pass reads every file's value facts, so with it on they are all
+/// derived here.
+#[allow(clippy::too_many_arguments)]
 fn findings_stage(
     scan: &Scan<'_>,
     files: &[FileMeta],
@@ -1326,7 +1322,7 @@ fn findings_stage(
     candidates: Vec<Candidate>,
     ran_pass2: bool,
     ns: &mut Ns,
-) -> Option<(Vec<Finding>, Vec<Option<wap_cfg::FileCfgs>>)> {
+) -> Option<Vec<Finding>> {
     // the stream is file-major after dedup_and_sort, so groups are
     // contiguous runs of one file
     struct Group {
@@ -1399,7 +1395,7 @@ fn findings_stage(
         // sink-context refinement reads the voted files' value facts
         let needed: Vec<usize> = match scan.options.lint {
             Some(_) => (0..files.len()).collect(),
-            None => voted_files.clone(),
+            None => voted_files,
         };
         let todo: Vec<usize> = needed
             .into_iter()
@@ -1410,21 +1406,6 @@ fn findings_stage(
         }
     }
     let values = values.as_deref();
-
-    // CFG lowering for guard refinement, one graph set per voted file:
-    // refinement reads no other file's graphs
-    let mut cfgs: Vec<Option<wap_cfg::FileCfgs>> = files.iter().map(|_| None).collect();
-    if scan.options.guards {
-        let t = Instant::now();
-        let built = scan.runtime.map(voted_files.clone(), |_, fi| {
-            let _span = scan.obs.span_file(Phase::Cfg, &files[fi].name);
-            wap_cfg::lower_program(programs[fi].get().expect("parsed for findings"))
-        });
-        ns.cfg += elapsed_ns(t);
-        for (&fi, built) in voted_files.iter().zip(built) {
-            cfgs[fi] = Some(built);
-        }
-    }
 
     // symptom collection + committee voting, one task per candidate
     let t = Instant::now();
@@ -1443,9 +1424,6 @@ fn findings_stage(
         let _span = scan.obs.span_file(Phase::Vote, &files[file].name);
         let program = programs[file].get().expect("parsed for findings");
         let mut symptoms = collect(program, &candidate, &scan.tool.dynamic_symptoms);
-        if let Some(file_cfgs) = &cfgs[file] {
-            refine_with_cfg(&mut symptoms, file_cfgs, &candidate);
-        }
         if let Some(fv) = values.and_then(|v| v.facts[file].as_ref()) {
             refine_with_values(&mut symptoms, fv, &candidate);
         }
@@ -1475,7 +1453,7 @@ fn findings_stage(
         .into_iter()
         .map(|f| f.expect("every candidate resolved"))
         .collect();
-    Some((findings, cfgs))
+    Some(findings)
 }
 
 #[cfg(test)]
@@ -1483,30 +1461,22 @@ mod tests {
     use super::*;
     use crate::pipeline::ToolConfig;
 
-    /// Moving guards and values from the tool to the scan must not re-key
-    /// the cache: these are the fingerprints the tool-level flags
-    /// produced, so entries written before the move stay warm.
+    /// Moving values from the tool to the scan, and deleting the guard
+    /// refinement, must not re-key the cache: these are the fingerprints
+    /// the tool-level flags produced, so entries written before stay warm.
     #[test]
     fn config_fingerprints_survive_the_move_to_scan_options() {
         let tool = WapTool::new(ToolConfig::wape_full());
-        let fp = |guards, values| {
-            let options = ScanOptions {
-                guards,
-                values,
-                lint: None,
-            };
+        let fp = |values| {
+            let options = ScanOptions { values, lint: None };
             config_fingerprint(&tool, &options)
         };
         assert_eq!(
-            fp(false, false),
+            fp(false),
             "f48ed7ff665ffb17ec3502088ff3b7aedcca61de63f83deb639b12b656418120"
         );
         assert_eq!(
-            fp(true, false),
-            "baa3b05a34e453b1591d97d99697dd02bab3bee3f2d2ed4d5dabd2114d8b031c"
-        );
-        assert_eq!(
-            fp(false, true),
+            fp(true),
             "42269b705ae4fd55f12206ce675c4728e798156f8923672ff6f5ee0ea80cf147"
         );
         // packs key only the `cfg` entries, never the shared fingerprint
@@ -1514,6 +1484,6 @@ mod tests {
             lint: Some(vec![wap_rules::RulePack::wordpress()]),
             ..ScanOptions::default()
         };
-        assert_eq!(config_fingerprint(&tool, &linted), fp(false, false));
+        assert_eq!(config_fingerprint(&tool, &linted), fp(false));
     }
 }

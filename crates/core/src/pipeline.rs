@@ -54,8 +54,8 @@ pub struct ToolConfig {
 
 /// The choices made for each scan rather than for the tool. A
 /// [`WapTool`] is its catalog, its linked weapons and its trained
-/// committee; guard refinement, value analysis and the lint pass are
-/// picked per [`WapTool::scan`] call, so one resident tool serves every
+/// committee; value analysis and the lint pass are picked per
+/// [`WapTool::scan`] call, so one resident tool serves every
 /// combination. Each option is folded into the cache keys it affects, so
 /// results computed under one set are never served to another.
 ///
@@ -63,11 +63,6 @@ pub struct ToolConfig {
 /// paper's plain symptom collector and syntactic call graph bit for bit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Refine collected symptom vectors with CFG guard analysis
-    /// (`--guards`, `wap-cfg`): validation symptoms the guard analysis
-    /// cannot prove to run on every path to the sink are cleared before
-    /// prediction.
-    pub guards: bool,
     /// Interprocedural constant/string value analysis (`--values`,
     /// `wap-cfg::values`): resolves dynamic `include`/`require` paths and
     /// variable-function/`call_user_func` targets into extra taint
@@ -236,14 +231,6 @@ impl ToolConfigBuilder {
     #[must_use]
     pub fn trace(mut self, on: bool) -> Self {
         self.config.trace = on;
-        self
-    }
-
-    /// Enable (or disable) CFG guard refinement of symptom vectors
-    /// ([`ScanOptions::guards`]).
-    #[must_use]
-    pub fn guard_attributes(mut self, on: bool) -> Self {
-        self.config.scan.guards = on;
         self
     }
 
@@ -423,8 +410,8 @@ impl WapTool {
 
     /// Analyzes an application given as `(file name, source)` pairs:
     /// parses, runs taint analysis across all files, collects symptoms,
-    /// and classifies every candidate, with guard refinement and value
-    /// analysis as the configuration's [`ToolConfig::scan`] sets them.
+    /// and classifies every candidate, with value analysis as the
+    /// configuration's [`ToolConfig::scan`] sets it.
     ///
     /// Every phase fans out over [`WapTool::runtime`]; findings come back
     /// sorted by (file, line, class) regardless of the worker count.
@@ -437,17 +424,17 @@ impl WapTool {
         self.analyze(sources, &self.config.scan).0
     }
 
-    /// Scans `sources` under `options`: the analysis with the guard and
-    /// value choices `options` makes, then the lint pass when
+    /// Scans `sources` under `options`: the analysis with the value
+    /// choice `options` makes, then the lint pass when
     /// [`ScanOptions::lint`] names a pack set. This is the one entry point
     /// every front end uses; one tool serves any mix of options, and the
     /// report is byte-identical to one from a tool built with those
     /// options as its defaults.
     ///
-    /// The lint pass reuses the programs, CFGs and value facts the
-    /// analysis already derived, cache or no cache, so each file is
-    /// parsed at most once, lowered at most once and value-analyzed at
-    /// most once.
+    /// The lint pass reuses the programs and value facts the analysis
+    /// already derived, cache or no cache, so each file is parsed at most
+    /// once, value-analyzed at most once, and lowered once, by the lint
+    /// pass.
     ///
     /// # Errors
     ///
@@ -497,8 +484,8 @@ impl WapTool {
     /// content-addressed `cfg` entries keyed on the catalog fingerprint,
     /// so warm lint runs re-lint only changed files.
     ///
-    /// Standalone, this derives every program, CFG and value fact it
-    /// needs itself; [`WapTool::scan`] reuses the analysis's instead.
+    /// Standalone, this derives every program and value fact it needs
+    /// itself; [`WapTool::scan`] reuses the analysis's instead.
     pub fn apply_lint(&self, report: &mut AppReport, sources: &[(String, String)]) {
         self.lint(
             report,
@@ -706,26 +693,17 @@ impl WapTool {
                 return (Vec::new(), 0, 0);
             }
             let t = Instant::now();
-            let reused_program = programs.get(i).and_then(Option::as_ref);
-            let reused_cfgs = artifacts.cfgs.get(i).and_then(Option::as_ref);
-            let (mut own_program, mut own_cfgs) = (None, None);
+            let mut own_program = None;
             let (program, cfgs) = {
-                // a span only for work done here, so a trace counts each
-                // file's parses and lowerings exactly
-                let derives = reused_program.is_none() || reused_cfgs.is_none();
-                let _span = derives.then(|| obs.span_file(Phase::Cfg, name));
-                let program = match reused_program {
+                let _span = obs.span_file(Phase::Cfg, name);
+                let program = match programs.get(i).and_then(Option::as_ref) {
                     Some(program) => program,
                     None => match parse(src) {
                         Ok(program) => own_program.insert(program),
                         Err(_) => return (Vec::new(), elapsed_ns(t), 0),
                     },
                 };
-                let cfgs = match reused_cfgs {
-                    Some(cfgs) => cfgs,
-                    None => own_cfgs.insert(wap_cfg::lower_program(program)),
-                };
-                (program, cfgs)
+                (program, wap_cfg::lower_program(program))
             };
             let cfg_ns = elapsed_ns(t);
             let t = Instant::now();
@@ -735,9 +713,9 @@ impl WapTool {
                     tainted_vars: tainted_by_file.get(name.as_str()),
                     values: fv,
                 };
-                let mut fs = rule_set.run_with_facts(name, cfgs, Some(src), &facts);
+                let mut fs = rule_set.run_with_facts(name, &cfgs, Some(src), &facts);
                 if let Some(sinks) = events.get(name.as_str()) {
-                    fs.extend(rule_set.run_tainted(name, cfgs, sinks));
+                    fs.extend(rule_set.run_tainted(name, &cfgs, sinks));
                 }
                 // dynamic includes nothing resolved are analysis coverage
                 // gaps; with `--values` off every dynamic include is one
@@ -803,8 +781,6 @@ pub(crate) struct ScanArtifacts {
     pub(crate) programs: Vec<Option<Program>>,
     /// Whether the file failed to parse (the report lists it already).
     pub(crate) parse_failed: Vec<bool>,
-    /// Lowered CFGs, `None` where guard refinement lowered nothing.
-    pub(crate) cfgs: Vec<Option<wap_cfg::FileCfgs>>,
     /// Every parsed file's value facts, keyed by name, when the value
     /// stage derived them all.
     pub(crate) values: Option<HashMap<String, wap_cfg::FileValues>>,
@@ -834,29 +810,6 @@ pub(crate) fn refine_with_values(
     if let Some(ctx) = best {
         wap_mining::refine_with_sink_context(symptoms, ctx.name());
     }
-}
-
-/// Clears validation symptoms the CFG guard analysis cannot prove to
-/// guard this candidate's sink ([`ScanOptions::guards`] mode). Symptoms the
-/// guard analysis *does* prove — a dominating `is_numeric`, a cast on a
-/// tainted carrier — survive, so the predictor sees only validations
-/// that actually protect the sink.
-pub(crate) fn refine_with_cfg(
-    symptoms: &mut FeatureVector,
-    cfgs: &wap_cfg::FileCfgs,
-    candidate: &Candidate,
-) {
-    let carriers: Vec<Symbol> = candidate
-        .carriers
-        .iter()
-        .map(|c| Symbol::intern(c))
-        .collect();
-    let guarded: std::collections::BTreeSet<String> = cfgs
-        .dominating_guards(candidate.sink_span, &carriers)
-        .into_iter()
-        .map(|g| g.validator.as_str().to_string())
-        .collect();
-    wap_mining::refine_with_guards(symptoms, &guarded);
 }
 
 /// Assembles a report's [`wap_report::ScanStats`]: the four directly

@@ -405,8 +405,14 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
+/// Upper bound on one message body, the same as `wap serve`'s request
+/// body limit. Bodies are allocated up front, so a larger
+/// `Content-Length` is refused before anything is read.
+pub const MAX_MESSAGE_BYTES: usize = 64 * 1024 * 1024;
+
 /// Reads one `Content-Length`-framed message body. `Ok(None)` is a clean
-/// EOF at a message boundary.
+/// EOF at a message boundary; a `Content-Length` past
+/// [`MAX_MESSAGE_BYTES`] is an `Err`.
 pub fn read_message(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
     let mut content_length: Option<usize> = None;
     let mut first = true;
@@ -436,6 +442,11 @@ pub fn read_message(reader: &mut dyn BufRead) -> Result<Option<String>, String> 
         }
     }
     let len = content_length.ok_or("missing Content-Length header")?;
+    if len > MAX_MESSAGE_BYTES {
+        return Err(format!(
+            "body of {len} bytes exceeds the {MAX_MESSAGE_BYTES} byte limit"
+        ));
+    }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body).map_err(|e| e.to_string())?;
     String::from_utf8(body)
@@ -557,6 +568,17 @@ mod tests {
         assert!(read_message(&mut r).is_err(), "missing Content-Length");
         let mut r = Cursor::new(b"Content-Length: 99\r\n\r\n{}".to_vec());
         assert!(read_message(&mut r).is_err(), "truncated body");
+    }
+
+    /// A `Content-Length` past the limit is refused before any body is
+    /// allocated or read.
+    #[test]
+    fn oversized_content_length_is_an_error() {
+        for len in [usize::MAX, MAX_MESSAGE_BYTES + 1] {
+            let mut r = Cursor::new(format!("Content-Length: {len}\r\n\r\n{{}}").into_bytes());
+            let err = read_message(&mut r).unwrap_err();
+            assert!(err.contains("byte limit"), "{len}: {err}");
+        }
     }
 
     #[test]

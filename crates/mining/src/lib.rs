@@ -43,6 +43,4 @@ pub use classifiers::{Classifier, ClassifierKind};
 pub use dataset::Dataset;
 pub use metrics::{cross_validate, ConfusionMatrix, Metrics};
 pub use predictor::{FalsePositivePredictor, Prediction, PredictorGeneration};
-pub use symptoms::{
-    collect, refine_with_guards, refine_with_sink_context, DynamicSymptomMap, FeatureVector,
-};
+pub use symptoms::{collect, refine_with_sink_context, DynamicSymptomMap, FeatureVector};

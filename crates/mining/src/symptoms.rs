@@ -7,7 +7,7 @@
 //! their static equivalents, and everything is folded into one attribute
 //! vector for classification.
 
-use crate::attributes::{symptom_index, symptoms, wape_feature_count, Group};
+use crate::attributes::{symptom_index, symptoms, wape_feature_count};
 use std::collections::{BTreeSet, HashMap};
 use wap_php::ast::*;
 use wap_php::visitor::{walk_expr, walk_stmt, Visitor};
@@ -155,41 +155,6 @@ pub fn collect(
     FeatureVector { features, present }
 }
 
-/// Refines a collected vector with CFG guard facts: *type checking* and
-/// *pattern control* symptoms that the guard analysis could **not** prove
-/// to run on every path to the sink, with no redefinition since, are
-/// cleared.
-///
-/// The plain collector counts any validation call that touches the flow's
-/// variables, even on a branch the sink never takes; `guarded` holds the
-/// validator names (`wap_cfg::GuardFact::validator`) actually proven to
-/// dominate the sink. Cast guards map onto their function-call symptom
-/// (`cast_int` → `intval`). The vector keeps its 60-feature shape — only
-/// existing bits are cleared, never set, so the predictor's attribute
-/// layout is untouched.
-pub fn refine_with_guards(fv: &mut FeatureVector, guarded: &BTreeSet<String>) {
-    let proven = |name: &str| {
-        guarded.contains(name)
-            || match name {
-                "intval" => guarded.contains("cast_int"),
-                "is_float" => guarded.contains("cast_float"),
-                _ => false,
-            }
-    };
-    for (i, s) in symptoms().iter().enumerate() {
-        let refinable = matches!(s.group, Group::TypeChecking | Group::PatternControl);
-        if refinable && fv.features[i] > 0.5 && !proven(s.name) {
-            fv.features[i] = 0.0;
-        }
-    }
-    fv.present = symptoms()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| fv.features[*i] > 0.5)
-        .map(|(_, s)| s.name)
-        .collect();
-}
-
 /// Rewrites value-context symptoms from the sink context the
 /// interprocedural value analysis derived (`--values` mode). `context`
 /// is the kebab-case `wap_cfg::SinkContext` name:
@@ -205,7 +170,7 @@ pub fn refine_with_guards(fv: &mut FeatureVector, guarded: &BTreeSet<String>) {
 ///   missed it.
 ///
 /// The vector keeps its fixed feature shape — only named bits change —
-/// and `present` is rebuilt like [`refine_with_guards`].
+/// and `present` is rebuilt from the features.
 pub fn refine_with_sink_context(fv: &mut FeatureVector, context: &str) {
     let set = |fv: &mut FeatureVector, name: &str, on: bool| {
         if let Some(i) = crate::attributes::symptom_index(name) {
@@ -526,58 +491,6 @@ mod tests {
             fv.present.len(),
             fv.features.iter().filter(|v| **v > 0.5).count()
         );
-    }
-
-    #[test]
-    fn guard_refinement_clears_unproven_validation() {
-        let (p, c) = candidate_and_program(
-            r#"<?php
-            $id = $_GET['id'];
-            if (is_numeric($id)) { echo 'numeric'; }
-            mysql_query("SELECT * FROM t WHERE id = $id");"#,
-        );
-        let mut fv = collect(&p, &c, &DynamicSymptomMap::new());
-        assert!(fv.has("is_numeric"), "collector sees the branch guard");
-        assert!(fv.has("from_clause"));
-        // no guard dominates the sink (guard is on a side branch)
-        refine_with_guards(&mut fv, &BTreeSet::new());
-        assert!(!fv.has("is_numeric"), "present: {:?}", fv.present);
-        assert!(fv.has("from_clause"), "non-validation symptoms survive");
-        assert_eq!(fv.features.len(), 60);
-        assert_eq!(
-            fv.present.len(),
-            fv.features.iter().filter(|v| **v > 0.5).count()
-        );
-    }
-
-    #[test]
-    fn guard_refinement_keeps_proven_validators() {
-        let (p, c) = candidate_and_program(
-            r#"<?php
-            $id = $_GET['id'];
-            if (!is_numeric($id)) { exit; }
-            mysql_query("SELECT * FROM t WHERE id = $id");"#,
-        );
-        let mut fv = collect(&p, &c, &DynamicSymptomMap::new());
-        assert!(fv.has("is_numeric"));
-        let guarded: BTreeSet<String> = ["is_numeric".to_string()].into();
-        refine_with_guards(&mut fv, &guarded);
-        assert!(fv.has("is_numeric"), "dominating guard is kept");
-    }
-
-    #[test]
-    fn guard_refinement_maps_cast_guards() {
-        let (p, c) = candidate_and_program(
-            r#"<?php
-            $id = $_GET['id'];
-            $n = intval($id);
-            mysql_query("SELECT * FROM t WHERE id = $id");"#,
-        );
-        let mut fv = collect(&p, &c, &DynamicSymptomMap::new());
-        assert!(fv.has("intval"));
-        let guarded: BTreeSet<String> = ["cast_int".to_string()].into();
-        refine_with_guards(&mut fv, &guarded);
-        assert!(fv.has("intval"), "cast_int proves the intval symptom");
     }
 
     #[test]

@@ -94,16 +94,22 @@ impl Parser {
     /// token past [`MAX_NESTING`]. A parse error ends the whole parse, so
     /// a failed level is never left.
     fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> ParseResult<T>) -> ParseResult<T> {
-        if self.depth >= MAX_NESTING {
-            return Err(ParseError::new(
-                format!("nesting deeper than {MAX_NESTING} levels"),
-                self.span(),
-            ));
-        }
-        self.depth += 1;
+        self.deeper(self.span())?;
         let out = parse(self)?;
         self.depth -= 1;
         Ok(out)
+    }
+
+    /// Enters one nesting level, or fails at `at` past [`MAX_NESTING`].
+    fn deeper(&mut self, at: Span) -> ParseResult<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(ParseError::new(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                at,
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     // ---- cursor helpers ----
@@ -1335,8 +1341,20 @@ impl Parser {
         self.parse_postfix(primary)
     }
 
-    fn parse_postfix(&mut self, mut e: Expr) -> ParseResult<Expr> {
+    /// Each suffix wraps the expression once more, so it takes one
+    /// nesting level for the rest of the run, after its own index or
+    /// arguments: a long `[0]`/`->a`/`->a()` chain fails at the suffix one
+    /// level too deep. The run's levels are left when it ends.
+    fn parse_postfix(&mut self, e: Expr) -> ParseResult<Expr> {
+        let entered = self.depth;
+        let out = self.parse_suffixes(e);
+        self.depth = entered;
+        out
+    }
+
+    fn parse_suffixes(&mut self, mut e: Expr) -> ParseResult<Expr> {
         loop {
+            let open = self.span();
             match *self.peek() {
                 TokenKind::LBracket => {
                     self.bump();
@@ -1469,6 +1487,7 @@ impl Parser {
                 }
                 _ => return Ok(e),
             }
+            self.deeper(open)?;
         }
     }
 
@@ -2194,6 +2213,21 @@ mod tests {
         // a left-associative chain is not nesting
         let chain = format!("<?php $x = 1{};", " . 1".repeat(5_000));
         assert!(parse(&chain).is_ok());
+    }
+
+    /// Each postfix suffix takes one level for the rest of its run, and
+    /// the run's levels are left when it ends.
+    #[test]
+    fn postfix_runs_take_one_level_per_suffix() {
+        for suffix in ["[0]", "->a", "->a()"] {
+            let run = |n: usize| format!("$a{}", suffix.repeat(n));
+            // two runs side by side each fit; one twice as long does not
+            let fits = format!("<?php $x = {} . {};", run(200), run(200));
+            assert!(parse(&fits).is_ok(), "{suffix}");
+            let src = format!("<?php $x = {};", run(400));
+            let err = parse(&src).unwrap_err();
+            assert!(err.message().contains("nesting"), "{}", err.message());
+        }
     }
 
     #[test]

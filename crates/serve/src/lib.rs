@@ -722,8 +722,7 @@ pub(crate) fn scan_format(req: &http::Request) -> Result<Format, WapError> {
 /// The per-scan options a request asks for, shared by `/v1/scan` and
 /// `/v1/batch`: `?rules=pack[@version],…` joins installed packs into the
 /// lint pass (and implies it), `?lint=1` runs the pass, `?values=1` turns
-/// on the value analysis. Guard refinement stays off, as in the CLI's
-/// default.
+/// on the value analysis.
 ///
 /// # Errors
 ///
@@ -745,7 +744,6 @@ pub(crate) fn scan_options(shared: &Shared, req: &http::Request) -> Result<ScanO
     }
     let lint = matches!(req.query_param("lint"), Some("1" | "true")) || !packs.is_empty();
     Ok(ScanOptions {
-        guards: false,
         values: matches!(req.query_param("values"), Some("1" | "true")),
         lint: lint.then_some(packs),
     })

@@ -16,7 +16,7 @@ use wap_report::{AppReport, Phase};
 /// The pipeline phases exposed as per-phase latency series. These are the
 /// phases every scan measures unconditionally (the finer traced phases
 /// only exist when a collector is enabled), plus the CFG and lint phases,
-/// which are zero unless a scan requested `?lint=1` or guard attributes.
+/// which are zero unless a scan requested `?lint=1` or `?rules=`.
 pub const EXPOSED_PHASES: [Phase; 6] = [
     Phase::Parse,
     Phase::Taint,

@@ -589,65 +589,3 @@ fn values_cache_revalidates_dynamic_call_targets() {
     assert_eq!(after, warm(&edited), "warm run replayed a stale include");
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// With guards and values on, a findings miss lowers CFGs only for the
-/// files whose candidates are re-voted — not for every file the value
-/// stage parsed to merge its summaries.
-#[test]
-fn warm_guard_refinement_lowers_only_revoted_files() {
-    let mut base: Vec<(String, String)> = (1..=4)
-        .map(|k| {
-            (
-                format!("lib/h{k}.php"),
-                format!("<?php\nfunction h{k}($x) {{ return trim($x); }}\n"),
-            )
-        })
-        .collect();
-    base.push((
-        "partials/row.php".to_string(),
-        "<?php\nfunction row_fmt($s) { return \"<td>\" . $s . \"</td>\"; }\necho $name;\n"
-            .to_string(),
-    ));
-    base.push((
-        "page1.php".to_string(),
-        "<?php\n$base = \"partials\";\n$name = $_GET['n'];\ninclude $base . \"/row.php\";\necho $_GET['q'];\n"
-            .to_string(),
-    ));
-    base.push((
-        "page2.php".to_string(),
-        "<?php\n$id = $_GET['id'];\nif (!is_numeric($id)) { exit; }\nmysql_query(\"SELECT 1 WHERE x = $id\");\n"
-            .to_string(),
-    ));
-    let config = || {
-        ToolConfig::builder()
-            .trace(true)
-            .guard_attributes(true)
-            .values(true)
-            .build()
-    };
-    let mut tool = WapTool::new(config());
-    tool.enable_memory_cache();
-    tool.analyze_sources(&base);
-
-    let mut edited = base.clone();
-    edited[4].1 = edited[4].1.replace("<td>", "<th>");
-    tool.obs().clear();
-    let warm = tool.analyze_sources(&edited);
-    let cold = WapTool::new(config()).analyze_sources(&edited);
-    assert_eq!(fingerprint(&cold), fingerprint(&warm));
-
-    let voted: Vec<String> = spans_by_file(&tool, wap_obs::Phase::Vote)
-        .into_iter()
-        .map(|(f, _)| f)
-        .collect();
-    assert_eq!(voted, ["page1.php", "partials/row.php"]);
-    let lowered = spans_by_file(&tool, wap_obs::Phase::Cfg);
-    assert_eq!(
-        lowered,
-        [
-            ("page1.php".to_string(), 1),
-            ("partials/row.php".to_string(), 1)
-        ],
-        "CFG lowerings"
-    );
-}

@@ -233,8 +233,8 @@ fn on_default_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -
 
 /// Deeply nested input is a parse error (past `wap::php::MAX_NESTING`)
 /// or a bounded scan (nested loops past `MAX_LOOP_NEST` run once), never
-/// a stack overflow or an exponential walk — scanned as `--guards
-/// --values --lint --rules wordpress` would.
+/// a stack overflow or an exponential walk — scanned as `--values
+/// --lint --rules wordpress` would, which lowers every file that parses.
 #[test]
 fn deep_nesting_is_a_parse_error_or_a_bounded_scan() {
     let scan = |src: String| {
@@ -242,7 +242,6 @@ fn deep_nesting_is_a_parse_error_or_a_bounded_scan() {
             let tool = WapTool::new(
                 ToolConfig::builder()
                     .jobs(1)
-                    .guard_attributes(true)
                     .values(true)
                     .rule_packs(vec![wap::rules::RulePack::wordpress()])
                     .build(),
@@ -262,11 +261,19 @@ fn deep_nesting_is_a_parse_error_or_a_bounded_scan() {
         "if ($a) {".repeat(6_000),
         "}".repeat(6_000)
     );
-    for src in [parens, ifs] {
+    // every postfix suffix wraps the expression once more
+    let suffixes =
+        |suffix: &str, n: usize| format!("<?php\necho $_GET[\"x\"]{};\n", suffix.repeat(n));
+    let chains = ["[0]", "->a", "->a()"].map(|suffix| suffixes(suffix, 20_000));
+    for src in [parens, ifs].into_iter().chain(chains) {
         let (report, _) = scan(src);
         assert_eq!(report.parse_errors.len(), 1);
         assert!(report.parse_errors[0].1.message().contains("nesting"));
         assert!(report.findings.is_empty());
+    }
+    for suffix in ["[0]", "->a", "->a()"] {
+        let (report, _) = scan(suffixes(suffix, 200));
+        assert!(report.parse_errors.is_empty(), "{suffix} x 200");
     }
 
     let loops = format!(

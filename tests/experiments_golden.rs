@@ -1,10 +1,11 @@
-//! Byte-for-byte pins of the taint-dependent experiment outputs.
+//! Byte-for-byte pins of the default-mode experiment outputs.
 //!
 //! At the test scale and the default seed, every output below must match
-//! its committed copy under `tests/golden/experiments/`: Tables VI and VII,
-//! Table V's non-timing columns (files, LoC, vuln files, vulns found) and
-//! its clean-package line, the interprocedural ablation, the escape study
-//! and the second-order study. An analysis change that moves one cell of
+//! its committed copy under `tests/golden/experiments/`: Tables I–IV,
+//! VI and VII, Table V's non-timing columns (files, LoC, vuln files,
+//! vulns found) and its clean-package line, the committee, attribute,
+//! interprocedural and dynamic-symptom ablations, the escape study and
+//! the second-order study. An analysis change that moves one cell of
 //! one table fails here instead of passing a substring check.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test experiments_golden`
@@ -13,8 +14,9 @@
 use std::path::PathBuf;
 use wap::core::report::TextTable;
 use wap_bench::{
-    ablation_interproc, escape_study, run_plugins, run_webapps, second_order_study, table5, table6,
-    table7, WebAppRun, DEFAULT_SEED,
+    ablation_attributes, ablation_committee, ablation_dynamic_symptoms, ablation_interproc,
+    escape_study, run_plugins, run_webapps, second_order_study, table1, table2, table3, table4,
+    table5, table6, table7, WebAppRun, DEFAULT_SEED,
 };
 
 /// The corpus scale the `wap-bench` experiment tests also use.
@@ -95,6 +97,14 @@ fn table5_counts(runs: &[WebAppRun]) -> String {
 }
 
 #[test]
+fn predictor_and_catalog_tables_match_goldens() {
+    check("table1", &table1());
+    check("table2", &table2(DEFAULT_SEED));
+    check("table3", &table3(DEFAULT_SEED));
+    check("table4", &table4());
+}
+
+#[test]
 fn webapp_tables_match_goldens() {
     let runs = run_webapps(SCALE, DEFAULT_SEED);
     check("table5_counts", &table5_counts(&runs));
@@ -113,5 +123,15 @@ fn studies_match_goldens() {
         &ablation_interproc(SCALE, DEFAULT_SEED),
     );
     check("escape_study", &escape_study(SCALE, DEFAULT_SEED));
+    check(
+        "ablation_dynamic_symptoms",
+        &ablation_dynamic_symptoms(SCALE, DEFAULT_SEED),
+    );
     check("second_order_study", &second_order_study());
+}
+
+#[test]
+fn predictor_ablations_match_goldens() {
+    check("ablation_committee", &ablation_committee(DEFAULT_SEED));
+    check("ablation_attributes", &ablation_attributes(DEFAULT_SEED));
 }

@@ -1,11 +1,11 @@
-//! Golden JSON snapshot for guard mode.
+//! Golden JSON snapshot for the lint pass's guard facts.
 //!
 //! `tests/fixtures/guard_app/` holds one tainted flow per kind of
 //! validation evidence: a branch guard, an `exit` guard, an `(int)` cast,
 //! `intval`, a redefinition after a guard, and a redefinition after the
-//! sink inside a loop. A scan with `guards: true` and the lint pass
-//! renders the predictor's verdicts and the tainted-sink and
-//! unguarded-sink lints as JSON, which must match the committed
+//! sink inside a loop. A scan with the lint pass renders the predictor's
+//! verdicts and the tainted-sink and unguarded-sink lints (which read the
+//! `wap-cfg` guard analysis) as JSON, which must match the committed
 //! `tests/golden/guard_app.json` byte for byte at every job count and
 //! with a cold, then warm, cache. Regenerate with
 //! `WAP_BLESS=1 cargo test --test golden_guard` after an intentional
@@ -29,7 +29,6 @@ fn render(jobs: usize, cache_dir: Option<&Path>) -> String {
     }
     let tool = WapTool::new(builder.build());
     let options = ScanOptions {
-        guards: true,
         lint: Some(Vec::new()),
         ..ScanOptions::default()
     };

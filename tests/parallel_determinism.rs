@@ -277,66 +277,6 @@ fn cfg_cache_invalidates_on_catalog_fingerprint_change() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Guard-attribute refinement (`--guards`) must be deterministic across
-/// job counts and cache states too — and must stay off by default.
-#[test]
-fn guard_attributes_are_deterministic_and_off_by_default() {
-    let sources = corpus_sources();
-    let dir = std::env::temp_dir().join(format!(
-        "wap-determinism-guards-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let serial = WapTool::new(ToolConfig::builder().jobs(1).guard_attributes(true).build());
-    let baseline = fingerprint(&serial.analyze_sources(&sources));
-
-    for jobs in [2usize, 8] {
-        for trace in [false, true] {
-            let tool = WapTool::new(
-                ToolConfig::builder()
-                    .jobs(jobs)
-                    .trace(trace)
-                    .guard_attributes(true)
-                    .build(),
-            );
-            assert_eq!(
-                baseline,
-                fingerprint(&tool.analyze_sources(&sources)),
-                "guarded analysis diverged at jobs={jobs} trace={trace}"
-            );
-        }
-    }
-    // cold + warm cached runs under the flag
-    for label in ["cold", "warm"] {
-        let tool = WapTool::new(
-            ToolConfig::builder()
-                .jobs(4)
-                .cache_dir(&dir)
-                .guard_attributes(true)
-                .build(),
-        );
-        assert_eq!(
-            baseline,
-            fingerprint(&tool.analyze_sources(&sources)),
-            "{label} cached guarded run diverged"
-        );
-    }
-    // the flag changes the config fingerprint, so the plain configuration
-    // hitting the same cache directory must not reuse guarded entries
-    let plain = WapTool::new(ToolConfig::builder().jobs(2).cache_dir(&dir).build());
-    let default_fp = fingerprint(&plain.analyze_sources(&sources));
-    let cacheless = WapTool::new(ToolConfig::builder().jobs(1).build());
-    assert_eq!(
-        default_fp,
-        fingerprint(&cacheless.analyze_sources(&sources)),
-        "default run next to a guarded cache diverged from cacheless"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The interprocedural value analysis (`--values`) must be deterministic
 /// across job counts, tracing, and cache states — and off by default: a
 /// default-configuration run next to a values-populated cache must stay
@@ -564,9 +504,11 @@ fn scan_equivalence_inputs() -> Vec<Vec<(String, String)>> {
 
 /// Everything a scan decides and renders: findings, lint findings, the
 /// rule table, the value-analysis edge counters, and the text, JSON and
-/// SARIF bytes (wall-clock duration zeroed).
+/// SARIF bytes (wall-clock duration and the process-wide peak RSS, which
+/// other tests in this binary move, zeroed).
 fn scan_fingerprint(mut report: AppReport, classes: &[wap::catalog::VulnClass]) -> String {
     report.duration = std::time::Duration::ZERO;
+    report.stats.peak_rss_bytes = 0;
     let mut out = fingerprint(&report) + &lint_fingerprint(&report);
     out.push_str(&format!(
         "lint_ran={} values_ran={} edges={}/{}\n",
@@ -582,21 +524,20 @@ fn scan_fingerprint(mut report: AppReport, classes: &[wap::catalog::VulnClass]) 
     out
 }
 
-/// `scan` with a pack set hands the analysis's programs, CFGs and value
-/// facts to the lint pass; the result must equal the standalone
+/// `scan` with a pack set hands the analysis's programs and value facts
+/// to the lint pass; the result must equal the standalone
 /// `analyze_sources` + `apply_lint` sequence, which derives them afresh,
 /// for every job count, analysis mode and pack set.
 #[test]
 fn scan_equals_analyze_then_lint_for_every_mode() {
     let inputs = scan_equivalence_inputs();
-    for (guards, values) in [(true, false), (false, true), (true, true)] {
+    for values in [false, true] {
         for packs in [Vec::new(), vec![wap::rules::RulePack::wordpress()]] {
             for sources in &inputs {
                 for jobs in [1usize, 2, 8] {
                     let tool = WapTool::new(
                         ToolConfig::builder()
                             .jobs(jobs)
-                            .guard_attributes(guards)
                             .values(values)
                             .rule_packs(packs.clone())
                             .build(),
@@ -611,7 +552,7 @@ fn scan_equals_analyze_then_lint_for_every_mode() {
                     assert_eq!(
                         scan_fingerprint(separate, &classes),
                         scan_fingerprint(scanned, &classes),
-                        "guards={guards} values={values} packs={} jobs={jobs} \
+                        "values={values} packs={} jobs={jobs} \
                          first={}: scan diverged from analyze + apply_lint",
                         packs.len(),
                         sources[0].0
@@ -627,26 +568,16 @@ fn scan_equals_analyze_then_lint_for_every_mode() {
 #[test]
 fn scan_without_lint_equals_analyze_sources() {
     for sources in &scan_equivalence_inputs() {
-        for (guards, values) in [(false, false), (true, true)] {
-            let tool = WapTool::new(
-                ToolConfig::builder()
-                    .jobs(2)
-                    .guard_attributes(guards)
-                    .values(values)
-                    .build(),
-            );
+        for values in [false, true] {
+            let tool = WapTool::new(ToolConfig::builder().jobs(2).values(values).build());
             let classes: Vec<_> = tool.catalog().classes().cloned().collect();
-            let options = ScanOptions {
-                guards,
-                values,
-                lint: None,
-            };
+            let options = ScanOptions { values, lint: None };
             let scanned = tool.scan(sources, &options).expect("no rules to compile");
             assert!(!scanned.lint_ran);
             assert_eq!(
                 scan_fingerprint(tool.analyze_sources(sources), &classes),
                 scan_fingerprint(scanned, &classes),
-                "guards={guards} values={values}"
+                "values={values}"
             );
         }
     }
@@ -667,16 +598,9 @@ fn scan_lint_skips_files_that_fail_to_parse() {
             "<?php\nif ($a = $_GET['a']) { echo 1; }\nreturn;\necho 2;\n".to_string(),
         ),
     ];
-    for (guards, values) in [(false, false), (true, true)] {
-        let tool = WapTool::new(
-            ToolConfig::builder()
-                .jobs(2)
-                .guard_attributes(guards)
-                .values(values)
-                .build(),
-        );
+    for values in [false, true] {
+        let tool = WapTool::new(ToolConfig::builder().jobs(2).values(values).build());
         let options = ScanOptions {
-            guards,
             values,
             lint: Some(Vec::new()),
         };
@@ -688,7 +612,7 @@ fn scan_lint_skips_files_that_fail_to_parse() {
             assert_eq!(report.parse_errors[0].0, "broken.php");
             assert!(
                 report.lint.iter().all(|l| l.file == "ok.php"),
-                "guards={guards} values={values}: broken.php was linted"
+                "values={values}: broken.php was linted"
             );
             assert!(!report.lint.is_empty(), "ok.php must be linted");
         }
@@ -697,7 +621,7 @@ fn scan_lint_skips_files_that_fail_to_parse() {
 }
 
 /// One resident tool serves every option mix: interleaved scans under
-/// plain, guards, values, guards+values and lint+wordpress options, twice
+/// plain, values and lint+wordpress options, twice
 /// through on one in-memory cache, each render byte-identical (JSON and
 /// SARIF) to a dedicated tool built with those options as its defaults.
 #[test]
@@ -705,17 +629,8 @@ fn one_tool_serves_every_scan_option_mix_byte_identically() {
     let mixes = [
         ScanOptions::default(),
         ScanOptions {
-            guards: true,
-            ..ScanOptions::default()
-        },
-        ScanOptions {
             values: true,
             ..ScanOptions::default()
-        },
-        ScanOptions {
-            guards: true,
-            values: true,
-            lint: None,
         },
         ScanOptions {
             lint: Some(vec![wap::rules::RulePack::wordpress()]),
@@ -729,10 +644,7 @@ fn one_tool_serves_every_scan_option_mix_byte_identically() {
         let wanted: Vec<[String; 2]> = mixes
             .iter()
             .map(|options| {
-                let mut builder = ToolConfig::builder()
-                    .jobs(2)
-                    .guard_attributes(options.guards)
-                    .values(options.values);
+                let mut builder = ToolConfig::builder().jobs(2).values(options.values);
                 if let Some(packs) = &options.lint {
                     builder = builder.rule_packs(packs.clone());
                 }
@@ -745,7 +657,7 @@ fn one_tool_serves_every_scan_option_mix_byte_identically() {
                 render(&report, &classes)
             })
             .collect();
-        assert_ne!(wanted[0], wanted[4], "the lint pass must show in the bytes");
+        assert_ne!(wanted[0], wanted[2], "the lint pass must show in the bytes");
 
         let mut shared = WapTool::new(ToolConfig::builder().jobs(2).build());
         shared.enable_memory_cache();

@@ -149,10 +149,9 @@ fn scan_stats_per_file_breakdown_follows_the_trace_flag() {
 }
 
 /// An uncached `scan` with lint on derives each file's IR once: the lint
-/// pass reuses the analysis's programs, CFGs and value facts. Every file
-/// gets one parse span; every file that parsed gets one CFG lowering
-/// (by the guard refinement when `--guards` is on, else by the lint
-/// pass) and one value-stage span. A second parse, lowering or value
+/// pass reuses the analysis's programs and value facts. Every file gets
+/// one parse span; every file that parsed gets one CFG lowering (by the
+/// lint pass) and one value-stage span. A second parse, lowering or value
 /// stage in the lint pass shows up as a second span for the file. A scan
 /// on an empty store is the same pipeline with every file a miss, so it
 /// derives exactly as much.
@@ -163,12 +162,11 @@ fn uncached_scan_derives_each_file_once() {
 
     let mut sources = corpus_sources();
     sources.push(("broken.php".to_string(), "<?php $x = ;\n".to_string()));
-    for (guards, empty_store) in [(true, false), (false, false), (true, true), (false, true)] {
+    for empty_store in [false, true] {
         let mut tool = WapTool::new(
             ToolConfig::builder()
                 .jobs(2)
                 .trace(true)
-                .guard_attributes(guards)
                 .values(true)
                 .rule_packs(vec![wap::rules::RulePack::wordpress()])
                 .build(),
@@ -193,7 +191,7 @@ fn uncached_scan_derives_each_file_once() {
         let count =
             |phase: Phase, file: &str| spans.get(&(phase, file.to_string())).copied().unwrap_or(0);
         for (name, _) in &sources {
-            let label = format!("guards={guards} empty_store={empty_store} {name}");
+            let label = format!("empty_store={empty_store} {name}");
             assert_eq!(count(Phase::Parse, name), 1, "{label}: parse spans");
             let derived = usize::from(name != "broken.php");
             assert_eq!(count(Phase::Cfg, name), derived, "{label}: lowerings");
