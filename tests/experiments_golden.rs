@@ -3,24 +3,32 @@
 //! At the test scale and the default seed, every output below must match
 //! its committed copy under `tests/golden/experiments/`: Tables I–IV,
 //! VI and VII, Table V's non-timing columns (files, LoC, vuln files,
-//! vulns found) and its clean-package line, the committee, attribute,
-//! interprocedural and dynamic-symptom ablations, the escape study and
-//! the second-order study. An analysis change that moves one cell of
+//! vulns found) and its clean-package line, Figs. 4 and 5, the
+//! committee, attribute, interprocedural and dynamic-symptom ablations,
+//! the escape study, the second-order study and the dynamic
+//! confirmation sweep. An analysis change that moves one cell of
 //! one table fails here instead of passing a substring check.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test experiments_golden`
 //! after an intentional change, and list the rewrite in CHANGES.md.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use wap::core::report::TextTable;
 use wap_bench::{
     ablation_attributes, ablation_committee, ablation_dynamic_symptoms, ablation_interproc,
-    escape_study, run_plugins, run_webapps, second_order_study, table1, table2, table3, table4,
-    table5, table6, table7, WebAppRun, DEFAULT_SEED,
+    confirm_sweep, escape_study, fig4, fig5, run_plugins, run_webapps, second_order_study, table1,
+    table2, table3, table4, table5, table6, table7, WebAppRun, DEFAULT_SEED,
 };
 
 /// The corpus scale the `wap-bench` experiment tests also use.
 const SCALE: f64 = 0.02;
+
+/// The web-app runs, analyzed once for every test that reads them.
+fn webapp_runs() -> &'static [WebAppRun] {
+    static RUNS: OnceLock<Vec<WebAppRun>> = OnceLock::new();
+    RUNS.get_or_init(|| run_webapps(SCALE, DEFAULT_SEED))
+}
 
 fn check(name: &str, actual: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -106,14 +114,22 @@ fn predictor_and_catalog_tables_match_goldens() {
 
 #[test]
 fn webapp_tables_match_goldens() {
-    let runs = run_webapps(SCALE, DEFAULT_SEED);
-    check("table5_counts", &table5_counts(&runs));
-    check("table6", &table6(&runs));
+    let runs = webapp_runs();
+    check("table5_counts", &table5_counts(runs));
+    check("table6", &table6(runs));
 }
 
 #[test]
 fn plugin_table_matches_golden() {
-    check("table7", &table7(&run_plugins(SCALE, DEFAULT_SEED)));
+    let plugins = run_plugins(SCALE, DEFAULT_SEED);
+    check("table7", &table7(&plugins));
+    check("fig5", &fig5(webapp_runs(), &plugins));
+}
+
+#[test]
+fn figure4_and_confirm_sweep_match_goldens() {
+    check("fig4", &fig4());
+    check("confirm_sweep", &confirm_sweep(SCALE, DEFAULT_SEED));
 }
 
 #[test]
