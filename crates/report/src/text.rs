@@ -63,7 +63,7 @@ pub fn render_text(report: &AppReport) -> String {
     };
     let _ = writeln!(
         out,
-        "\n{} files, {} LoC, {} parse errors, {} real vulnerabilities, {} predicted false positives{}{}{} ({} ms)",
+        "\n{} files, {} LoC, {} parse errors, {} real vulnerabilities, {} predicted false positives{}{} ({} ms)",
         report.files_analyzed,
         report.loc,
         report.parse_errors.len(),
@@ -71,26 +71,8 @@ pub fn render_text(report: &AppReport) -> String {
         report.predicted_false_positives().count(),
         lint_summary,
         values_summary,
-        mem_summary(report),
         report.duration.as_millis()
     );
-    out
-}
-
-/// The memory addendum to the summary line — empty when nothing was
-/// measured, so reports from platforms without `VmHWM` (and from library
-/// embeddings without the counting allocator) keep their historic shape.
-fn mem_summary(report: &AppReport) -> String {
-    let mut out = String::new();
-    if report.stats.peak_rss_bytes > 0 {
-        out.push_str(&format!(
-            ", peak RSS {:.1} MB",
-            report.stats.peak_rss_bytes as f64 / (1024.0 * 1024.0)
-        ));
-    }
-    if report.stats.allocations > 0 {
-        out.push_str(&format!(", {} allocations", report.stats.allocations));
-    }
     out
 }
 

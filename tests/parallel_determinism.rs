@@ -504,11 +504,9 @@ fn scan_equivalence_inputs() -> Vec<Vec<(String, String)>> {
 
 /// Everything a scan decides and renders: findings, lint findings, the
 /// rule table, the value-analysis edge counters, and the text, JSON and
-/// SARIF bytes (wall-clock duration and the process-wide peak RSS, which
-/// other tests in this binary move, zeroed).
+/// SARIF bytes (wall-clock duration zeroed).
 fn scan_fingerprint(mut report: AppReport, classes: &[wap::catalog::VulnClass]) -> String {
     report.duration = std::time::Duration::ZERO;
-    report.stats.peak_rss_bytes = 0;
     let mut out = fingerprint(&report) + &lint_fingerprint(&report);
     out.push_str(&format!(
         "lint_ran={} values_ran={} edges={}/{}\n",
