@@ -39,7 +39,7 @@ use wap_runtime::Runtime;
 use wap_taint::serial::write_candidate;
 use wap_taint::{
     dedup_and_sort, function_fingerprint, function_refs, pass_candidates, referenced_names,
-    run_pass, Candidate, FileResolution, PassArtifacts, PassInput,
+    run_pass, strongly_connected, Candidate, FileResolution, PassArtifacts, PassInput,
 };
 
 use wap_obs::{JobHandle, Phase};
@@ -51,7 +51,7 @@ use crate::pipeline::{
 
 /// Bumped whenever key derivation or any payload layout in this module
 /// changes; combined with the tool version so entries never cross builds.
-const CACHE_SCHEMA: &str = "core-cache-v3";
+const CACHE_SCHEMA: &str = "core-cache-v4";
 
 /// The tool-version component of every cache key. This is the same
 /// constant stamped into reports and the SARIF `tool.driver`, so a
@@ -409,7 +409,7 @@ struct FileMeta {
 impl FileMeta {
     /// The names a taint pass over this file starts from: its own
     /// declarations and its call targets. Their [`DeclIndex::closure`] is
-    /// every declaration the pass can walk.
+    /// every declaration whose summary the pass can read.
     fn seeds(&self) -> impl Iterator<Item = &str> {
         let decls = self.decls.iter().map(|d| d.name.as_str());
         decls.chain(self.refs.iter().map(String::as_str))
@@ -428,9 +428,9 @@ struct Canon<'a> {
 
 /// Every function name's canonical declaration, and the one definition of
 /// what a file's analysis can see: its dependency closure. The closure
-/// keys the pass and findings entries (through the dependency digests)
-/// and picks the files a pass miss parses, so what a warm run re-reads
-/// and what invalidates it can never disagree.
+/// keys the pass and findings entries (through the dependency digests),
+/// so editing a declaration invalidates exactly the files that can
+/// observe it.
 struct DeclIndex<'a> {
     files: &'a [FileMeta],
     canon: HashMap<&'a str, Canon<'a>>,
@@ -479,6 +479,32 @@ impl<'a> DeclIndex<'a> {
                 .get(n)
                 .map(|c| [*n, self.files[c.owner].name.as_str(), c.fp])
         })
+    }
+
+    /// The strongly connected components of the file-level call graph: an
+    /// edge runs from a file to the owner of each canonical declaration
+    /// its own canonical declarations call. A taint pass derives a
+    /// component's summaries together, so it is fresh whole or cached
+    /// whole (the [`PassInput`] contract).
+    fn file_components(&self) -> Vec<Vec<usize>> {
+        let calls: Vec<Vec<usize>> = self
+            .files
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                f.decls
+                    .iter()
+                    .filter(|d| {
+                        self.canon
+                            .get(d.name.as_str())
+                            .is_some_and(|c| c.owner == i)
+                    })
+                    .flat_map(|d| &d.refs)
+                    .filter_map(|r| self.canon.get(r.as_str()).map(|c| c.owner))
+                    .collect()
+            })
+            .collect();
+        strongly_connected(&calls)
     }
 
     /// Digest of the closure of the dynamic-call targets the value
@@ -644,9 +670,8 @@ struct Keys<'a> {
 /// pass.
 ///
 /// Returns `None` when the store turns out unsuitable: duplicate file
-/// names, a decl entry the parser now contradicts, or a pass that reached
-/// a body it did not parse. The caller then runs the pipeline again with
-/// no store, which always completes.
+/// names, or a decl entry the parser now contradicts. The caller then
+/// runs the pipeline again with no store, which always completes.
 pub(crate) fn analyze(
     tool: &WapTool,
     store: Option<&CacheStore>,
@@ -1207,9 +1232,11 @@ struct TaintInputs<'s, 'p> {
 }
 
 /// One taint pass. With a store, every file's pass entry is looked up and
-/// only the misses are analyzed — parsing exactly the files the
-/// incremental contract requires — and their artifacts written back; with
-/// none, every file is analyzed.
+/// only the misses are analyzed, with every file sharing a call-graph
+/// component with a miss (the [`PassInput`] contract), and their artifacts
+/// written back; with none, every file is analyzed. The fresh files are
+/// parsed, and with value analysis on so is every resolved include
+/// target; cached files contribute their artifacts' summaries unparsed.
 fn taint_pass(
     scan: &Scan<'_>,
     t_in: &TaintInputs<'_, '_>,
@@ -1234,22 +1261,19 @@ fn taint_pass(
         }
         ns.cache += elapsed_ns(t);
 
-        let fresh: Vec<usize> = (0..files.len()).filter(|&i| cached[i].is_none()).collect();
-        if !fresh.is_empty() {
-            // fresh files must be parsed; so must the canonical owner of
-            // every declaration in their dependency closure, the only
-            // foreign bodies phase A's lazy walks reach (phase B reads only
-            // merged summaries) — and, with value analysis on, every
-            // resolved include target, so inlined include execution sees
-            // the same programs an uncached run does
-            let seen = k
-                .decls
-                .closure(fresh.iter().flat_map(|&i| files[i].seeds()));
-            let mut want = fresh;
-            want.extend(
-                seen.iter()
-                    .filter_map(|n| k.decls.canon.get(n).map(|c| c.owner)),
-            );
+        if cached.iter().any(Option::is_none) {
+            // a call-graph component with a miss is re-derived whole;
+            // resolved include targets are parsed so inlined include
+            // execution sees the same programs an uncached run does
+            let mut want: Vec<usize> = Vec::new();
+            for component in k.decls.file_components() {
+                if component.iter().any(|&i| cached[i].is_none()) {
+                    for &i in &component {
+                        cached[i] = None;
+                    }
+                    want.extend(component);
+                }
+            }
             want.extend(t_in.include_targets);
             ensure_parsed(scan, files, programs, &want, ns)?;
         }
@@ -1287,11 +1311,6 @@ fn taint_pass(
         scan.obs,
     );
     ns.taint += elapsed_ns(t);
-    if outcome.missing_body {
-        // the parse set above missed a body the pass needed: never
-        // store or return artifacts built on a stand-in summary
-        return None;
-    }
 
     if let Some(k) = keys {
         let t = Instant::now();
@@ -1485,5 +1504,35 @@ mod tests {
             ..ScanOptions::default()
         };
         assert_eq!(config_fingerprint(&tool, &linted), fp(false));
+    }
+
+    /// Files whose canonical declarations call each other, directly or
+    /// through a third file, form one component; a caller outside the
+    /// cycle and a shadowed re-declaration do not join it.
+    #[test]
+    fn file_components_follow_canonical_calls() {
+        let decl = |name: &str, refs: &[&str]| DeclRecord {
+            name: name.to_string(),
+            fp: String::new(),
+            refs: refs.iter().map(|r| r.to_string()).collect(),
+        };
+        let file = |name: &str, decls: Vec<DeclRecord>| FileMeta {
+            src: 0,
+            name: name.to_string(),
+            hash: String::new(),
+            decls,
+            refs: Vec::new(),
+        };
+        let files = vec![
+            file("a.php", vec![decl("a", &["b"])]),
+            file("b.php", vec![decl("b", &["c"])]),
+            file("c.php", vec![decl("c", &["a", "strlen"])]),
+            file("page.php", vec![decl("p", &["a"])]),
+            // shadowed by c.php's `c`: its call back to `p` is never walked
+            file("d.php", vec![decl("c", &["p"])]),
+        ];
+        let mut components = DeclIndex::new(&files).file_components();
+        components.sort();
+        assert_eq!(components, vec![vec![0, 1, 2], vec![3], vec![4]]);
     }
 }

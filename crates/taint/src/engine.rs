@@ -12,10 +12,10 @@
 //! the data-mining predictor exists to catch (§II).
 
 use crate::finding::Candidate;
+use crate::scc::strongly_connected;
 use crate::state::{TaintState, TaintStep};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 use wap_catalog::{Catalog, SinkArgs, SinkKind, VulnClass};
 use wap_obs::Phase;
 use wap_php::ast::*;
@@ -137,15 +137,14 @@ pub fn analyze(
     dedup_and_sort(candidates)
 }
 
-/// Everything a phase-A task hands back: the summaries this file
-/// canonically owns, the candidates found inside function bodies, and the
-/// literal-tracking state the same file's phase-B task resumes from.
+/// Everything a phase-A task hands back for one file: the summaries this
+/// file canonically owns, the candidates found inside function bodies, and
+/// the literal-tracking state the same file's phase-B task resumes from.
 struct PhaseA {
     summaries: HashMap<Symbol, FnSummary>,
     candidates: Vec<Candidate>,
     state: CarriedState,
     store_seen: bool,
-    missing_body: bool,
 }
 
 /// The per-file artifacts of one analysis pass: everything the pass
@@ -183,13 +182,16 @@ impl PassArtifacts {
 ///   in declaration order — for a parsed file these are the lowercased
 ///   names of its program's [`Program::functions`].
 /// - `program` must be `Some` for every file analyzed fresh
-///   (`cached == None`), and for the canonical owner of every declaration
-///   in a fresh file's dependency closure (the declarations reachable
-///   from its own declarations and call targets through
-///   [`function_refs`]), so lazy foreign walks behave exactly as in an
-///   uncached run. A fully cached set may leave every `program` as `None`.
-///   A walk that reaches a canonical owner without a program sets
-///   [`PassOutcome::missing_body`] instead of guessing a summary.
+///   (`cached == None`). A cached file's program is read only when a
+///   resolved include inlines it; its summaries come from its artifacts.
+/// - Files that reach each other through function bodies are fresh
+///   together: if a file is fresh, so is every file in its strongly
+///   connected component of the file-level call graph (an edge runs from
+///   a file to the owner of each canonical declaration one of its own
+///   canonical declarations calls, by [`function_refs`]). A cached
+///   file's summaries are then final for every fresh caller, and a
+///   recursive component is re-derived whole, exactly as in an uncached
+///   run.
 pub struct PassInput<'a> {
     /// File name (reported in candidates).
     pub name: String,
@@ -209,11 +211,6 @@ pub struct PassOutcome {
     /// Which artifacts were computed fresh this run (parallel to
     /// `artifacts`) — these are the entries worth writing to the cache.
     pub fresh: Vec<bool>,
-    /// Set when a fresh file's analysis needed the body of a function
-    /// whose canonical owner came without a program. The artifacts then
-    /// rest on an empty stand-in summary and must be discarded: the
-    /// caller re-runs the scan with no cache.
-    pub missing_body: bool,
 }
 
 /// Lowercased names of every call target a program references: plain
@@ -225,33 +222,41 @@ pub struct PassOutcome {
 /// another file's declarations, so the incremental cache uses them to
 /// scope invalidation to actual dependents of an edited function.
 pub fn referenced_names(program: &Program) -> Vec<Symbol> {
-    let mut c = CallTargets(BTreeSet::new());
+    let mut c = CallTargets(Vec::new());
     use wap_php::visitor::Visitor as _;
     c.visit_program(program);
-    c.0.into_iter().collect()
+    c.finish()
 }
 
 /// [`referenced_names`] restricted to one function declaration (its body,
 /// parameter defaults, and any nested declarations).
 pub fn function_refs(func: &Function) -> Vec<Symbol> {
-    let mut c = CallTargets(BTreeSet::new());
+    let mut c = CallTargets(Vec::new());
     use wap_php::visitor::Visitor as _;
     c.visit_function(func);
-    c.0.into_iter().collect()
+    c.finish()
 }
 
-struct CallTargets(BTreeSet<Symbol>);
+struct CallTargets(Vec<Symbol>);
+
+impl CallTargets {
+    fn finish(mut self) -> Vec<Symbol> {
+        self.0.sort_unstable();
+        self.0.dedup();
+        self.0
+    }
+}
 
 impl wap_php::visitor::Visitor for CallTargets {
     fn visit_expr(&mut self, e: &Expr) {
         match &e.kind {
             ExprKind::Call { callee, .. } => {
                 if let ExprKind::Name(n) = &callee.kind {
-                    self.0.insert(n.lower());
+                    self.0.push(n.lower());
                 }
             }
             ExprKind::MethodCall { method, .. } | ExprKind::StaticCall { method, .. } => {
-                self.0.insert(method.lower());
+                self.0.push(method.lower());
             }
             _ => {}
         }
@@ -316,42 +321,152 @@ struct ResolveCtx<'a> {
 /// cut by the include stack; this bounds pathological chains).
 const MAX_INCLUDE_DEPTH: usize = 8;
 
-/// Canonical record in the shared function index: the first declaration
-/// of a name in (file order, declaration order). `func` is `None` when
-/// the owning file's body was not parsed this run (only possible for
-/// cached files in a fully warm incremental pass).
-struct FnDecl<'a> {
-    owner: usize,
-    func: Option<&'a Function>,
-}
+/// Canonical owner of every user function name: the file of its first
+/// declaration in (file order, declaration order).
+type FnIndex = HashMap<Symbol, usize>;
 
-type FnIndex<'a> = HashMap<Symbol, FnDecl<'a>>;
-
-/// `functions[i]` is `files[i]`'s [`Program::functions`], or empty when
-/// the file comes without a program.
-fn build_fn_index<'a>(files: &[PassInput<'a>], functions: &[&[&'a Function]]) -> FnIndex<'a> {
+fn build_fn_index(files: &[PassInput<'_>]) -> FnIndex {
     let mut index = FnIndex::new();
-    for (i, (f, funcs)) in files.iter().zip(functions).enumerate() {
-        for (j, name) in f.decl_names.iter().enumerate() {
-            index.entry(*name).or_insert(FnDecl {
-                owner: i,
-                func: funcs.get(j).copied(),
-            });
+    for (i, f) in files.iter().enumerate() {
+        for name in &f.decl_names {
+            index.entry(*name).or_insert(i);
         }
     }
     index
 }
 
+/// One canonical function a pass walks: its lowercased name, its owning
+/// file and its declaration.
+type Decl<'a> = (Symbol, usize, &'a Function);
+
+/// One phase-A task: fresh files that reach each other through function
+/// bodies (almost always a single file), and their canonical functions'
+/// strongly connected components in walk order, callees first.
+struct Task {
+    files: Vec<usize>,
+    components: Vec<Component>,
+}
+
+/// Functions summarized together: one function, or the members of a
+/// recursion, walked in plan order until their summaries stop changing.
+struct Component {
+    /// Indices into the plan's functions, which are in file order, then
+    /// name order.
+    members: Vec<usize>,
+    recursive: bool,
+}
+
+/// Plans phase A from the call graph of the fresh files' canonical
+/// functions, with an edge from each function to every fresh canonical
+/// function its body calls ([`function_refs`]; none when interprocedural
+/// analysis is off). Calls into cached files need no edge: their
+/// summaries are final. Files whose functions reach each other share a
+/// task; tasks come in waves, each task after every task owning one of
+/// its callees, so a task reads only finished summaries of other files.
+fn plan_phase_a<'a>(
+    options: &AnalysisOptions,
+    files: &[PassInput<'a>],
+    functions: &[&[&'a Function]],
+    index: &FnIndex,
+    runtime: &Runtime,
+) -> (Vec<Decl<'a>>, Vec<Vec<Task>>) {
+    // the fresh files' canonical functions with the names they call, in
+    // file order, then name order (the order ties break in); a name
+    // declared twice in its owning file keeps its first declaration
+    let per_file = runtime.run(files.len(), |i| {
+        let decls = files[i].decl_names.iter().zip(functions[i]);
+        let mut own: Vec<(Decl<'a>, Vec<Symbol>)> = decls
+            .filter(|(name, _)| files[i].cached.is_none() && index.get(*name) == Some(&i))
+            .map(|(name, func)| ((*name, i, *func), Vec::new()))
+            .collect();
+        own.sort_by_key(|(d, _)| d.0);
+        own.dedup_by_key(|(d, _)| d.0);
+        if options.interprocedural {
+            for ((_, _, func), refs) in &mut own {
+                *refs = function_refs(func);
+            }
+        }
+        own
+    });
+    let (nodes, refs): (Vec<Decl<'a>>, Vec<Vec<Symbol>>) = per_file.into_iter().flatten().unzip();
+    let node_of: HashMap<Symbol, usize> = nodes.iter().enumerate().map(|(v, d)| (d.0, v)).collect();
+    let calls: Vec<Vec<usize>> = refs
+        .iter()
+        .map(|rs| rs.iter().filter_map(|r| node_of.get(r).copied()).collect())
+        .collect();
+
+    // files reach each other through their functions' calls; a cached
+    // file has no functions here, so it is a task of its own with no work
+    let mut file_calls: Vec<Vec<usize>> = vec![Vec::new(); files.len()];
+    for (&(_, owner, _), cs) in nodes.iter().zip(&calls) {
+        file_calls[owner].extend(cs.iter().map(|&w| nodes[w].1));
+    }
+    let groups = strongly_connected(&file_calls);
+    let mut group_of = vec![0; files.len()];
+    for (g, members) in groups.iter().enumerate() {
+        for &i in members {
+            group_of[i] = g;
+        }
+    }
+    // a task's wave is one past the latest wave among its callees' tasks,
+    // which complete first
+    let mut wave = vec![0; groups.len()];
+    for (g, members) in groups.iter().enumerate() {
+        for c in members.iter().flat_map(|&i| &file_calls[i]) {
+            if group_of[*c] != g {
+                wave[g] = wave[g].max(wave[group_of[*c]] + 1);
+            }
+        }
+    }
+
+    // the walk order: the components of the calls inside each task
+    let same_task = |v: usize, w: usize| group_of[nodes[v].1] == group_of[nodes[w].1];
+    let local: Vec<Vec<usize>> = calls
+        .iter()
+        .enumerate()
+        .map(|(v, cs)| cs.iter().copied().filter(|&w| same_task(v, w)).collect())
+        .collect();
+    let mut components: Vec<Vec<Component>> = groups.iter().map(|_| Vec::new()).collect();
+    for members in strongly_connected(&local) {
+        let v = members[0];
+        let recursive = members.len() > 1 || local[v].contains(&v);
+        components[group_of[nodes[v].1]].push(Component { members, recursive });
+    }
+    let mut waves: Vec<Vec<Task>> = Vec::new();
+    for ((members, components), w) in groups.into_iter().zip(components).zip(wave) {
+        if files[members[0]].cached.is_some() {
+            continue;
+        }
+        if waves.len() <= w {
+            waves.resize_with(w + 1, Vec::new);
+        }
+        waves[w].push(Task {
+            files: members,
+            components,
+        });
+    }
+    (nodes, waves)
+}
+
 /// Runs one analysis pass, re-analyzing only the files without cached
 /// artifacts. Files are independent tasks fanned out over `runtime` in
-/// two parallel phases. **Phase A** summarizes every fresh file's
-/// functions (each file summarizes the functions it canonically declares);
-/// a barrier merges cached and fresh summaries into one read-only map
-/// (canonical ownership keeps the key sets disjoint). **Phase B** runs
-/// every fresh file's top-level flow against the merged map. Joins are
-/// index-ordered, so for a fixed input the outcome is bit-identical for
-/// any job count and any cached/fresh split; `Runtime::serial()` runs the
-/// same decomposition inline.
+/// two parallel phases.
+///
+/// **Phase A** summarizes every fresh file's canonical functions
+/// bottom-up over the call graph's strongly connected components: each
+/// function is walked by its owning file's task, after every function it
+/// calls, and the members of a recursion are walked until their summaries
+/// stop changing. Each summary is computed exactly once, and every use of
+/// it — a caller in any file, phase B — is a lookup. Files whose function
+/// bodies reach each other are walked by one task; a task that calls into
+/// another fresh file's functions runs in a later wave than that file's
+/// task. Summaries of cached files come from their artifacts.
+///
+/// **Phase B** runs every fresh file's top-level flow against the merged
+/// summaries. Joins are index-ordered, so for a fixed input the outcome is
+/// bit-identical for any job count and any cached/fresh split that keeps
+/// the [`PassInput`] contract; `Runtime::serial()` runs the same
+/// decomposition inline.
 ///
 /// `functions[i]` is `files[i]`'s [`Program::functions`], or empty when
 /// the file comes without a program, so a caller running both passes
@@ -369,7 +484,7 @@ pub fn run_pass<'a>(
     fetch_is_tainted: bool,
     obs: wap_obs::JobHandle<'_>,
 ) -> PassOutcome {
-    let index = build_fn_index(files, functions);
+    let index = build_fn_index(files);
     let programs_by_name: HashMap<&str, &Program> = files
         .iter()
         .filter_map(|f| f.program.map(|p| (f.name.as_str(), p)))
@@ -378,60 +493,54 @@ pub fn run_pass<'a>(
         resolutions,
         programs: &programs_by_name,
     });
-    let miss: Vec<usize> = files
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.cached.is_none())
-        .map(|(i, _)| i)
-        .collect();
 
-    // Phase A: summarize every fresh file's functions, one task per file.
-    let phase_a: Vec<PhaseA> = runtime.map(miss.clone(), |_, i| {
-        let f = &files[i];
-        let _span = obs.span_file(Phase::Taint, &f.name);
-        let program = f.program.expect("fresh file must be parsed");
-        let mut engine = Engine::for_file(
-            catalog,
-            options,
-            &index,
-            i,
-            &f.name,
-            program,
-            None,
-            None,
-            fetch_is_tainted,
-            CarriedState::default(),
-        );
-        engine.summarize_own(&f.decl_names, functions[i]);
-        engine.into_phase_a()
-    });
-    let mut missing_body = phase_a.iter().any(|pa| pa.missing_body);
-
-    // Barrier: merge cached and fresh summaries.
-    let merge_span = obs.span(Phase::SummaryMerge);
-    let mut fresh_a: Vec<Option<PhaseA>> = files.iter().map(|_| None).collect();
-    for (j, pa) in phase_a.into_iter().enumerate() {
-        fresh_a[miss[j]] = Some(pa);
+    // Phase A, wave by wave; every wave reads the summaries replayed from
+    // the cache and those of the waves before it.
+    let mut summaries: HashMap<Symbol, FnSummary> = HashMap::new();
+    for c in files.iter().filter_map(|f| f.cached.as_ref()) {
+        summaries.extend(c.summaries.iter().map(|(k, v)| (*k, v.clone())));
     }
-    let mut merged: HashMap<Symbol, FnSummary> = HashMap::new();
-    for (i, f) in files.iter().enumerate() {
-        match (&f.cached, &fresh_a[i]) {
-            (Some(c), _) => merged.extend(c.summaries.clone()),
-            (None, Some(pa)) => merged.extend(pa.summaries.clone()),
-            (None, None) => unreachable!("fresh file has phase-A output"),
+    let mut phase_a: Vec<Option<PhaseA>> = files.iter().map(|_| None).collect();
+    let (nodes, waves) = plan_phase_a(options, files, functions, &index, runtime);
+    for wave in waves {
+        let done = &summaries;
+        let results = runtime.map(wave, |_, task| {
+            let _spans: Vec<_> = task
+                .files
+                .iter()
+                .map(|&i| obs.span_file(Phase::Taint, &files[i].name))
+                .collect();
+            let engines = task.files.iter().map(|&i| {
+                let f = &files[i];
+                let program = f.program.expect("fresh file must be parsed");
+                let engine = Engine::for_file(
+                    catalog,
+                    options,
+                    &index,
+                    &f.name,
+                    program,
+                    done,
+                    None,
+                    fetch_is_tainted,
+                    CarriedState::default(),
+                );
+                (i, engine)
+            });
+            summarize_task(engines.collect(), &task.components, &nodes, &index)
+        });
+        let _merge = obs.span(Phase::SummaryMerge);
+        for (i, pa) in results.into_iter().flatten() {
+            summaries.extend(pa.summaries.iter().map(|(k, v)| (*k, v.clone())));
+            phase_a[i] = Some(pa);
         }
     }
-    let merged = Arc::new(merged);
-    drop(merge_span);
 
     // Phase B: top-level flow of every fresh file against the merged
     // summaries, resuming the literal-tracking state from its phase A.
-    let states: Vec<(usize, CarriedState)> = miss
-        .iter()
-        .map(|&i| {
-            let state = std::mem::take(&mut fresh_a[i].as_mut().expect("fresh").state);
-            (i, state)
-        })
+    let states: Vec<(usize, CarriedState)> = phase_a
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, pa)| Some((i, std::mem::take(&mut pa.as_mut()?.state))))
         .collect();
     let results = runtime.map(states, |_, (i, state)| {
         let f = &files[i];
@@ -441,10 +550,9 @@ pub fn run_pass<'a>(
             catalog,
             options,
             &index,
-            i,
             &f.name,
             program,
-            Some(Arc::clone(&merged)),
+            &summaries,
             resolve,
             fetch_is_tainted,
             state,
@@ -454,13 +562,11 @@ pub fn run_pass<'a>(
             i,
             std::mem::take(&mut engine.candidates),
             engine.tainted_store_seen,
-            engine.missing_body,
         )
     });
     let mut phase_b: Vec<Option<(Vec<Candidate>, bool)>> = files.iter().map(|_| None).collect();
-    for (i, found, seen, missing) in results {
+    for (i, found, seen) in results {
         phase_b[i] = Some((found, seen));
-        missing_body |= missing;
     }
 
     let mut artifacts = Vec::with_capacity(files.len());
@@ -470,7 +576,7 @@ pub fn run_pass<'a>(
             artifacts.push(c.clone());
             fresh.push(false);
         } else {
-            let pa = fresh_a[i].take().expect("fresh file has phase-A output");
+            let pa = phase_a[i].take().expect("fresh file has phase-A output");
             let (b_candidates, b_seen) = phase_b[i].take().expect("fresh file has phase-B output");
             artifacts.push(PassArtifacts {
                 summaries: pa.summaries,
@@ -481,11 +587,67 @@ pub fn run_pass<'a>(
             fresh.push(true);
         }
     }
-    PassOutcome {
-        artifacts,
-        fresh,
-        missing_body,
+    PassOutcome { artifacts, fresh }
+}
+
+/// Phase A of one task: walks its components in order with the owning
+/// file's engine, and tears every engine down into that file's output.
+fn summarize_task<'a>(
+    mut engines: Vec<(usize, Engine<'a>)>,
+    components: &[Component],
+    nodes: &[Decl<'a>],
+    index: &FnIndex,
+) -> Vec<(usize, PhaseA)> {
+    // the task's summaries, lent to whichever engine walks next
+    let mut work: HashMap<Symbol, FnSummary> = HashMap::new();
+    let walk = |engines: &mut [(usize, Engine<'a>)],
+                work: &mut HashMap<Symbol, FnSummary>,
+                (name, owner, func): Decl<'a>| {
+        let (_, engine) = engines
+            .iter_mut()
+            .find(|(i, _)| *i == owner)
+            .expect("the task owns its functions");
+        engine.summaries = std::mem::take(work);
+        let summary = engine.walk_function(name, func);
+        *work = std::mem::take(&mut engine.summaries);
+        summary
+    };
+    for component in components {
+        // A recursion iterates to the fixpoint. A member starts with no
+        // summary, which applies as "no flows"; flows only grow from
+        // there, and a walk that finds the same flows keeps the first
+        // witness. Only the last round's candidates stand: they saw the
+        // final summaries (a function outside any recursion is walked
+        // once and needs no checkpoint).
+        let checkpoints: Vec<usize> = match component.recursive {
+            true => engines.iter().map(|(_, e)| e.candidates.len()).collect(),
+            false => Vec::new(),
+        };
+        loop {
+            for ((_, e), &cp) in engines.iter_mut().zip(&checkpoints) {
+                e.candidates.truncate(cp);
+            }
+            let mut changed = false;
+            for &v in &component.members {
+                let name = nodes[v].0;
+                let summary = walk(&mut engines, &mut work, nodes[v]);
+                if !work.get(&name).is_some_and(|s| s.same_flows(&summary)) {
+                    work.insert(name, summary);
+                    changed = true;
+                }
+            }
+            if !component.recursive || !changed {
+                break;
+            }
+        }
     }
+    engines
+        .into_iter()
+        .map(|(i, engine)| {
+            let own = work.extract_if(|name, _| index.get(name) == Some(&i));
+            (i, engine.into_phase_a(own.collect()))
+        })
+        .collect()
 }
 
 /// Flattens per-file pass artifacts into the pass's candidate stream in
@@ -583,6 +745,40 @@ pub(crate) struct FnSummary {
     pub(crate) param_sinks: Vec<ParamSink>,
 }
 
+impl FnSummary {
+    /// Whether both summaries carry the same flows: parameter-to-return
+    /// flows, the return's own sources and sanitization, and which
+    /// parameter reaches which sink. Witnesses — provenance steps,
+    /// carriers, literal fragments, fix sites, repeated sinks — are left
+    /// out: a recursive walk lengthens them every round, while the flows
+    /// are finite and only grow, so a recursion's fixpoint compares this
+    /// way.
+    fn same_flows(&self, other: &FnSummary) -> bool {
+        let ret = |s: &FnSummary| {
+            s.ret_direct
+                .info()
+                .map(|i| (i.sources.clone(), i.sanitized.clone()))
+        };
+        let sinks = |s: &FnSummary| -> BTreeSet<(usize, VulnClass, String, u32, u32)> {
+            s.param_sinks
+                .iter()
+                .map(|p| {
+                    (
+                        p.param,
+                        p.class.clone(),
+                        p.sink.clone(),
+                        p.span.start(),
+                        p.span.end(),
+                    )
+                })
+                .collect()
+        };
+        self.ret_from_params == other.ret_from_params
+            && ret(self) == ret(other)
+            && sinks(self) == sinks(other)
+    }
+}
+
 type Env = flow::Env<TaintState>;
 
 /// Literal-tracking state threaded from a file's phase-A task into its
@@ -596,19 +792,17 @@ struct CarriedState {
 struct Engine<'a> {
     catalog: &'a Catalog,
     options: &'a AnalysisOptions,
-    /// The file this task analyzes.
-    file_idx: usize,
     /// The analyzed file's parsed program.
     program: &'a Program,
-    /// Canonical declaration of every user function: the first declaration
-    /// in (file, declaration) order. Built once per pass and shared by all
-    /// of the pass's tasks.
-    functions: &'a FnIndex<'a>,
+    /// Canonical owner of every user function. Built once per pass and
+    /// shared by all of the pass's tasks.
+    functions: &'a FnIndex,
+    /// Summaries the running phase-A task has derived so far; empty in
+    /// phase B.
     summaries: HashMap<Symbol, FnSummary>,
-    /// Merged summaries from phase A (read-only, shared across phase-B
-    /// tasks). `None` during phase A, where summaries are computed locally.
-    shared: Option<Arc<HashMap<Symbol, FnSummary>>>,
-    in_progress: HashSet<Symbol>,
+    /// Finished summaries (read-only, shared across tasks): in phase A
+    /// those of cached files and earlier waves, in phase B all of them.
+    shared: &'a HashMap<Symbol, FnSummary>,
     candidates: Vec<Candidate>,
     current_file: String,
     /// Return-taint accumulator for the function currently being summarized.
@@ -623,9 +817,6 @@ struct Engine<'a> {
     var_fix_site: HashMap<Symbol, Span>,
     /// Set when a first pass saw tainted data stored via INSERT/UPDATE.
     tainted_store_seen: bool,
-    /// Set when a summary was needed from a canonical owner whose body
-    /// was not parsed (see [`PassOutcome::missing_body`]).
-    missing_body: bool,
     /// Second-order pass: fetch functions return tainted stored data.
     fetch_is_tainted: bool,
     /// Value-analysis resolution facts (`--values` only). `None` in
@@ -644,11 +835,10 @@ impl<'a> Engine<'a> {
     fn for_file(
         catalog: &'a Catalog,
         options: &'a AnalysisOptions,
-        functions: &'a FnIndex<'a>,
-        file_idx: usize,
+        functions: &'a FnIndex,
         name: &str,
         program: &'a Program,
-        shared: Option<Arc<HashMap<Symbol, FnSummary>>>,
+        shared: &'a HashMap<Symbol, FnSummary>,
         resolve: Option<ResolveCtx<'a>>,
         fetch_is_tainted: bool,
         state: CarriedState,
@@ -656,19 +846,16 @@ impl<'a> Engine<'a> {
         Engine {
             catalog,
             options,
-            file_idx,
             program,
             functions,
             summaries: HashMap::new(),
             shared,
-            in_progress: HashSet::new(),
             candidates: Vec::new(),
             current_file: name.to_string(),
             ret_stack: Vec::new(),
             var_literals: state.var_literals,
             var_fix_site: state.var_fix_site,
             tainted_store_seen: false,
-            missing_body: false,
             fetch_is_tainted,
             resolve,
             include_stack: Vec::new(),
@@ -677,23 +864,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Tears a phase-A engine down into what the pass aggregator needs,
-    /// keeping only the summaries this file canonically declares (lazily
-    /// computed foreign summaries are recomputed identically — and kept —
-    /// by their defining file's task).
-    fn into_phase_a(mut self) -> PhaseA {
-        let functions = self.functions;
-        let file_idx = self.file_idx;
-        self.summaries
-            .retain(|name, _| functions.get(name).is_some_and(|d| d.owner == file_idx));
+    /// with `summaries`, those of the functions this file owns.
+    fn into_phase_a(self, summaries: HashMap<Symbol, FnSummary>) -> PhaseA {
         PhaseA {
-            summaries: self.summaries,
+            summaries,
             candidates: self.candidates,
             state: CarriedState {
                 var_literals: self.var_literals,
                 var_fix_site: self.var_fix_site,
             },
             store_seen: self.tainted_store_seen,
-            missing_body: self.missing_body,
         }
     }
 
@@ -750,29 +930,6 @@ impl<'a> Engine<'a> {
         out
     }
 
-    /// Phase A: summarize every user function this file canonically
-    /// declares, in name order. This also reports flows that start at entry
-    /// points *inside* function bodies, attributed to the declaring file.
-    /// `names` and `funcs` are the file's lowercased declared names and
-    /// their declarations, in declaration order.
-    fn summarize_own(&mut self, names: &[Symbol], funcs: &[&'a Function]) {
-        let mut decls: Vec<(Symbol, &'a Function)> =
-            names.iter().copied().zip(funcs.iter().copied()).collect();
-        decls.sort_by_key(|d| d.0);
-        let file_idx = self.file_idx;
-        for (name, func) in decls {
-            // skip shadowed re-declarations: only the canonical declaration
-            // (first in file order) defines the summary
-            if self
-                .functions
-                .get(&name)
-                .is_some_and(|d| d.owner == file_idx)
-            {
-                self.summary_for_decl(name, func);
-            }
-        }
-    }
-
     /// Phase B: the top-level flow of this file.
     fn run_toplevel(&mut self) {
         let mut env = Env::new();
@@ -786,14 +943,11 @@ impl<'a> Engine<'a> {
         format!("@param:{name}:{i}")
     }
 
-    fn summary_for_decl(&mut self, name: Symbol, func: &'a Function) {
-        if self.summaries.contains_key(&name)
-            || self.in_progress.contains(&name)
-            || self.shared.as_ref().is_some_and(|s| s.contains_key(&name))
-        {
-            return;
-        }
-        self.in_progress.insert(name);
+    /// Phase A: walks the body of `func`, canonically declared as `name`
+    /// by this file, from its parameters, and derives its summary. Flows
+    /// from entry points inside the body are kept as this file's
+    /// candidates; flows from parameters become the summary's sinks.
+    fn walk_function(&mut self, name: Symbol, func: &'a Function) -> FnSummary {
         // candidates recorded from here on belong to this function's body
         let checkpoint = self.candidates.len();
 
@@ -805,11 +959,7 @@ impl<'a> Engine<'a> {
             );
         }
         self.ret_stack.push(TaintState::Clean);
-        // a summary must not depend on the loops around the call that
-        // first needed it
-        let nest = std::mem::take(&mut self.loop_nest);
         self.exec_block(&mut env, &func.body);
-        self.loop_nest = nest;
         let ret = self.ret_stack.pop().expect("pushed above");
 
         // decompose the return taint into per-param flows + direct taint
@@ -837,13 +987,7 @@ impl<'a> Engine<'a> {
         }
 
         // candidates recorded during summarization that reference param
-        // markers are internal flows, not real findings: split them out.
-        // Real-source flows inside a *foreign* function's body are dropped
-        // here — the declaring file's task finds and keeps the same flows.
-        let owns = self
-            .functions
-            .get(&name)
-            .is_none_or(|d| d.owner == self.file_idx);
+        // markers are internal flows, not real findings: split them out
         let mut param_sinks = Vec::new();
         for c in self.candidates.split_off(checkpoint) {
             let param_srcs: Vec<usize> = c
@@ -857,7 +1001,7 @@ impl<'a> Engine<'a> {
                 .filter(|s| !s.starts_with("@param:"))
                 .cloned()
                 .collect();
-            if !real_srcs.is_empty() && owns {
+            if !real_srcs.is_empty() {
                 let mut c2 = c.clone();
                 c2.sources = real_srcs;
                 self.candidates.push(c2);
@@ -877,40 +1021,23 @@ impl<'a> Engine<'a> {
             }
         }
 
-        self.in_progress.remove(&name);
-        self.summaries.insert(
-            name,
-            FnSummary {
-                ret_from_params,
-                ret_direct,
-                param_sinks,
-            },
-        );
+        FnSummary {
+            ret_from_params,
+            ret_direct,
+            param_sinks,
+        }
     }
 
-    fn summary(&mut self, name: Symbol) -> FnSummary {
+    /// The summary of user function `name`. Callees are summarized before
+    /// their callers, so this is a lookup; only a member of the recursion
+    /// being walked may not have one yet, which applies as "no flows".
+    fn summary(&self, name: Symbol) -> FnSummary {
         let lname = name.lower();
-        if let Some(s) = self.summaries.get(&lname) {
-            return s.clone();
-        }
-        if let Some(s) = self.shared.as_ref().and_then(|s| s.get(&lname)) {
-            return s.clone();
-        }
-        if self.in_progress.contains(&lname) {
-            return FnSummary::default(); // recursion cut-off
-        }
-        if let Some(decl) = self.functions.get(&lname) {
-            if let Some(func) = decl.func {
-                self.summary_for_decl(lname, func);
-                return self.summaries.get(&lname).cloned().unwrap_or_default();
-            }
-            // The owner's body was not parsed this run: the caller broke
-            // the `PassInput` contract, so no summary here can be trusted.
-            // Flag the pass so its artifacts are discarded.
-            self.missing_body = true;
-            return FnSummary::default();
-        }
-        FnSummary::default()
+        self.summaries
+            .get(&lname)
+            .or_else(|| self.shared.get(&lname))
+            .cloned()
+            .unwrap_or_default()
     }
 }
 
@@ -1337,9 +1464,6 @@ impl<'a> Engine<'a> {
     /// candidates to the included file. Cycles are cut by the include
     /// stack; depth is bounded by [`MAX_INCLUDE_DEPTH`].
     fn exec_resolved_include(&mut self, env: &mut Env, path: &'a Expr) {
-        if self.shared.is_none() || !self.ret_stack.is_empty() {
-            return;
-        }
         let Some(ctx) = self.resolve else { return };
         let targets = match ctx
             .resolutions
@@ -2516,6 +2640,47 @@ mod tests {
         assert_eq!(classes(&found), vec![VulnClass::Sqli]);
     }
 
+    /// Only the first declaration of a name is walked and summarized.
+    #[test]
+    fn first_declaration_of_a_name_defines_its_summary() {
+        let found = run(r#"<?php
+            function f($x) { return $x; }
+            function f($x) { echo $_GET['b']; return 'clean'; }
+            echo f($_GET['a']);"#);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].sources, vec!["$_GET['a']".to_string()]);
+    }
+
+    /// The recursion's summary is a fixpoint: `a` returns either
+    /// parameter, which only the second round of the walk shows.
+    #[test]
+    fn recursive_swap_is_reported() {
+        let found = run(r#"<?php
+            function a($x, $y) { if (rand()) { return $y; } return a($y, $x); }
+            echo a($_GET["q"], "c");"#);
+        assert_eq!(classes(&found), vec![VulnClass::XssReflected]);
+    }
+
+    #[test]
+    fn mutually_recursive_swap_is_reported() {
+        let found = run(r#"<?php
+            function a($x, $y) { if (rand()) { return $y; } return b($y, $x); }
+            function b($x, $y) { return a($x, $y); }
+            echo a($_GET["q"], "c");"#);
+        assert_eq!(classes(&found), vec![VulnClass::XssReflected]);
+    }
+
+    /// A sink reached from a parameter through the recursion is a
+    /// parameter sink of every member; witnesses lengthen each round, and
+    /// the fixpoint still ends.
+    #[test]
+    fn recursive_parameter_sink_is_reported() {
+        let found = run(r#"<?php
+            function walk($q, $n) { if ($n) { return walk($n, $q); } mysql_query($q); }
+            walk("x", $_GET["n"]);"#);
+        assert_eq!(classes(&found), vec![VulnClass::Sqli]);
+    }
+
     // ---- control flow ----
 
     #[test]
@@ -2666,11 +2831,11 @@ mod tests {
         assert_eq!(found[0].file.as_deref(), Some("app.php"));
     }
 
-    /// A fresh file whose phase-A walk needs a foreign body the caller
-    /// did not parse must flag the pass, not summarize the callee as
-    /// empty: an empty summary would drop the flow through `fetch`.
+    /// A fresh file calling into a cached file reads the callee's summary
+    /// from the cached artifacts: the owner's body is not needed, and the
+    /// flow through `fetch` is found either way.
     #[test]
-    fn unparsed_canonical_owner_flags_the_pass() {
+    fn cached_owner_lends_its_summary_without_a_body() {
         let lib = parse(r#"<?php function fetch($k) { return $_GET[$k]; }"#).unwrap();
         let helper =
             parse(r#"<?php function wrap($k) { mysql_query("SELECT " . fetch($k)); }"#).unwrap();
@@ -2706,17 +2871,20 @@ mod tests {
             )
         };
         let cold = pass(Some(&lib), None);
-        assert!(!cold.missing_body);
         assert_eq!(cold.artifacts[1].candidate_count(), 1, "flow through fetch");
 
-        // lib.php replayed from the cache with its body parsed: no flag
         let warm = pass(Some(&lib), Some(cold.artifacts[0].clone()));
-        assert!(!warm.missing_body);
         assert_eq!(warm.artifacts, cold.artifacts);
+        assert_eq!(warm.fresh, vec![false, true]);
 
-        // lib.php replayed without its body: helper.php cannot be trusted
+        // lib.php replayed from the cache without its body
         let blind = pass(None, Some(cold.artifacts[0].clone()));
-        assert!(blind.missing_body, "a missing body must be reported");
+        assert_eq!(blind.artifacts, cold.artifacts);
+        assert_eq!(
+            blind.artifacts[1].candidate_count(),
+            1,
+            "flow through fetch"
+        );
     }
 
     #[test]

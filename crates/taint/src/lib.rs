@@ -35,6 +35,7 @@
 
 pub mod engine;
 pub mod finding;
+pub mod scc;
 pub mod serial;
 pub mod state;
 
@@ -44,5 +45,6 @@ pub use engine::{
     PassArtifacts, PassInput, PassOutcome, SourceFile,
 };
 pub use finding::Candidate;
+pub use scc::strongly_connected;
 pub use state::{TaintInfo, TaintState, TaintStep};
 pub use wap_runtime::Runtime;

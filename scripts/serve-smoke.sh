@@ -7,7 +7,9 @@
 #      with the checked-in jq assertion (scripts/sarif_assert.jq)
 #   4. compare the server's SARIF byte-for-byte against the CLI's
 #   5. rescan (warm cache) and require identical bytes + a cache hit
-#   6. SIGTERM the server and require a graceful exit with status 0
+#   6. upload a 600-function call chain (about 23 KB) as a tarball,
+#      require its flow, then require /healthz to still answer
+#   7. SIGTERM the server and require a graceful exit with status 0
 #
 # Requires: curl, jq, and target/release/wap (built by the caller).
 set -euo pipefail
@@ -129,6 +131,26 @@ done
 grep -q '^# TYPE wap_serve_scan_duration_seconds histogram$' "$WORK/metrics.txt" \
     || fail "scan duration family not typed as histogram"
 echo "serve-smoke: latency histograms OK"
+
+# --- call-chain upload: the chain's length must not become stack depth ----
+# Summaries are derived callee-first, so a worker's default 2 MiB stack
+# scans any chain length; before that, this upload killed the server.
+mkdir -p "$WORK/chain"
+{
+    echo '<?php'
+    for i in $(seq 0 599); do
+        echo "function f$i(\$x) { return f$((i + 1))(\$x); }"
+    done
+    echo 'function f600($x) { return $x; }'
+    echo 'echo f0($_GET["q"]);'
+} > "$WORK/chain/chain.php"
+tar --format=ustar -C "$WORK/chain" -cf "$WORK/chain.tar" chain.php
+curl -fsS -X POST -H 'Content-Type: application/x-tar' --data-binary "@$WORK/chain.tar" \
+    "http://$ADDR/v1/scan?format=ndjson" -o "$WORK/chain.ndjson" \
+    || fail "call-chain upload failed"
+grep -q 'XSS' "$WORK/chain.ndjson" || fail "call-chain flow missing: $(cat "$WORK/chain.ndjson")"
+curl -fsS "http://$ADDR/healthz" > /dev/null || fail "/healthz failed after the call-chain upload"
+echo "serve-smoke: call-chain upload OK, server healthy"
 
 # --- CLI trace: NDJSON schema validated by the checked-in jq assertion ----
 "$BIN" --format text --stats --trace "$WORK/trace.ndjson" --fail-on none \

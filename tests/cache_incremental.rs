@@ -479,10 +479,10 @@ fn spans_by_file(tool: &WapTool, phase: wap_obs::Phase) -> Vec<(String, usize)> 
     counts.into_iter().collect()
 }
 
-/// A warm rescan parses the edited files and the owners of the
-/// declarations their analysis can reach — never a bystander that merely
-/// declares a function. `lib_b.php` and `page_b.php` share no call path
-/// with the edits; `lib_c.php` owns `clean_a`, which `fetch_a` calls.
+/// A warm rescan parses the edited files and the files that depend on
+/// them, never a callee's owner: a cached callee lends its summary from
+/// its pass entry. `lib_b.php` and `page_b.php` share no call path with
+/// the edits; `lib_c.php` owns `clean_a`, which `fetch_a` calls.
 #[test]
 fn warm_rescan_parses_only_the_dependency_closure() {
     let base: Vec<(String, String)> = vec![
@@ -515,17 +515,17 @@ fn warm_rescan_parses_only_the_dependency_closure() {
     tool.analyze_sources(&base);
 
     let edits = [
-        // a page edit: the page, plus the owners of fetch_a and clean_a
+        // a page edit: the page alone
         (
             3,
             "<?php\n$x = fetch_a();\nmysql_query(\"SELECT * FROM u WHERE a = '$x'\");\n",
-            ["lib_a.php", "lib_c.php", "page_a.php"],
+            &["page_a.php"][..],
         ),
-        // a helper edit: the helper, its dependent page, and clean_a's owner
+        // a helper edit: the helper and its dependent page
         (
             0,
             "<?php\nfunction fetch_a() { return clean_a($_GET['a2']); }\n",
-            ["lib_a.php", "lib_c.php", "page_a.php"],
+            &["lib_a.php", "page_a.php"][..],
         ),
     ];
     for (file, text, parsed) in edits {
@@ -545,6 +545,74 @@ fn warm_rescan_parses_only_the_dependency_closure() {
             spans_by_file(&tool, wap_obs::Phase::Parse),
             expected,
             "parse set after editing {}",
+            base[file].0
+        );
+    }
+}
+
+/// Functions in two files that call each other form one recursion, whose
+/// summaries are derived together: editing either file re-derives both,
+/// and the warm scan equals the cold one.
+#[test]
+fn cross_file_recursion_warm_scan_equals_cold() {
+    let base: Vec<(String, String)> = vec![
+        (
+            "ping.php".to_string(),
+            "<?php\nfunction ping($x, $y) { if (rand()) { return $y; } return pong($y, $x); }\n"
+                .to_string(),
+        ),
+        (
+            "pong.php".to_string(),
+            "<?php\nfunction pong($x, $y) { $q = \"SELECT $x\"; mysql_query($q); return ping($x, $y); }\n"
+                .to_string(),
+        ),
+        (
+            "page.php".to_string(),
+            "<?php\necho ping($_GET['q'], 'c');\npong('a', $_POST['p']);\n".to_string(),
+        ),
+        (
+            "other.php".to_string(),
+            "<?php\nfunction other($v) { return $v; }\necho other('x');\n".to_string(),
+        ),
+    ];
+    let config = || ToolConfig::builder().no_weapons().trace(true).build();
+    let mut tool = WapTool::new(config());
+    tool.enable_memory_cache();
+    let first = tool.analyze_sources(&base);
+    assert_eq!(
+        fingerprint(&first),
+        fingerprint(&WapTool::new(config()).analyze_sources(&base))
+    );
+    assert!(
+        fingerprint(&first).contains("page.php:2:XSS"),
+        "{}",
+        fingerprint(&first)
+    );
+
+    let edits = [
+        (0, "<?php\nfunction ping($x, $y) { if (rand()) { return $x; } return pong($y, $x); }\n"),
+        (1, "<?php\nfunction pong($x, $y) { $q = \"DELETE $y\"; mysql_query($q); return ping($x, $y); }\n"),
+    ];
+    for (file, text) in edits {
+        let mut edited = base.clone();
+        edited[file].1 = text.to_string();
+        tool.obs().clear();
+        let warm = tool.analyze_sources(&edited);
+        let cold = WapTool::new(config()).analyze_sources(&edited);
+        assert_eq!(
+            fingerprint(&cold),
+            fingerprint(&warm),
+            "edit of {}",
+            base[file].0
+        );
+        let parsed: Vec<(String, usize)> = ["page.php", "ping.php", "pong.php"]
+            .iter()
+            .map(|f| (f.to_string(), 1))
+            .collect();
+        assert_eq!(
+            spans_by_file(&tool, wap_obs::Phase::Parse),
+            parsed,
+            "edit of {}",
             base[file].0
         );
     }

@@ -235,13 +235,15 @@ fn on_default_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -
 /// or a bounded scan (nested loops past `MAX_LOOP_NEST` run once), never
 /// a stack overflow or an exponential walk — scanned as `--values
 /// --lint --rules wordpress` would, which lowers every file that parses.
+/// A long call chain is summarized callee-first, so its length never
+/// becomes stack depth.
 #[test]
 fn deep_nesting_is_a_parse_error_or_a_bounded_scan() {
-    let scan = |src: String| {
+    let scan_with = |jobs: usize, src: String| {
         on_default_stack(move || {
             let tool = WapTool::new(
                 ToolConfig::builder()
-                    .jobs(1)
+                    .jobs(jobs)
                     .values(true)
                     .rule_packs(vec![wap::rules::RulePack::wordpress()])
                     .build(),
@@ -254,6 +256,7 @@ fn deep_nesting_is_a_parse_error_or_a_bounded_scan() {
             (report, start.elapsed())
         })
     };
+    let scan = |src: String| scan_with(1, src);
 
     let parens = format!("<?php\n$x = {}1{};\n", "(".repeat(5_000), ")".repeat(5_000));
     let ifs = format!(
@@ -286,4 +289,19 @@ fn deep_nesting_is_a_parse_error_or_a_bounded_scan() {
     assert_eq!(report.findings.len(), 1, "the sink inside the loops");
     assert_eq!(report.findings[0].candidate.sink, "mysql_query");
     assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+
+    let n = 100_000;
+    let mut chain = String::from("<?php\n");
+    for i in 0..n {
+        chain.push_str(&format!("function f{i}($x) {{ return f{}($x); }}\n", i + 1));
+    }
+    chain.push_str(&format!(
+        "function f{n}($x) {{ return $x; }}\necho f0($_GET['q']);\n"
+    ));
+    for jobs in [1, 2] {
+        let (report, _) = scan_with(jobs, chain.clone());
+        assert!(report.parse_errors.is_empty());
+        assert_eq!(report.findings.len(), 1, "the chain's flow at jobs {jobs}");
+        assert_eq!(report.findings[0].candidate.class, VulnClass::XssReflected);
+    }
 }

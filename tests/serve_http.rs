@@ -344,3 +344,46 @@ fn values_scan_matches_cli_and_leaves_default_bytes_alone() {
     join.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A long call chain is summarized callee-first, so its length never
+/// becomes stack depth: a 600-function upload (about 23 KB) scans on a
+/// worker's default stack, and the same server stays healthy.
+#[test]
+fn call_chain_upload_scans_and_the_server_stays_healthy() {
+    let n = 600;
+    let mut src = String::from("<?php\n");
+    for i in 0..n {
+        src.push_str(&format!("function f{i}($x) {{ return f{}($x); }}\n", i + 1));
+    }
+    src.push_str(&format!(
+        "function f{n}($x) {{ return $x; }}\necho f0($_GET['q']);\n"
+    ));
+    let archive = wap::serve::tar::build(&[("chain.php".to_string(), src)]);
+
+    let (handle, join) = boot(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut raw = format!(
+        "POST /v1/scan?format=ndjson HTTP/1.1\r\nHost: e2e\r\nContent-Type: application/x-tar\r\nContent-Length: {}\r\n\r\n",
+        archive.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(&archive);
+    let (status, _, body) = exchange(handle.addr(), &raw);
+    assert_eq!(status, 200);
+    let body = String::from_utf8(body).unwrap();
+    let flows: Vec<&str> = body.lines().filter(|l| l.contains("chain.php")).collect();
+    assert_eq!(flows.len(), 1, "{body}");
+    assert!(flows[0].contains("XSS"), "{body}");
+
+    let (status, _, health) = exchange(
+        handle.addr(),
+        b"GET /healthz HTTP/1.1\r\nHost: e2e\r\nContent-Length: 0\r\n\r\n",
+    );
+    assert_eq!((status, health.as_slice()), (200, &b"ok\n"[..]));
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
