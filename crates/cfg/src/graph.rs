@@ -426,7 +426,7 @@ impl Lowerer {
         &mut self,
         cond: &Expr,
         then_branch: &[Stmt],
-        elseifs: &[(Expr, Vec<Stmt>)],
+        elseifs: &[(Expr, Box<[Stmt]>)],
         else_branch: Option<&[Stmt]>,
     ) {
         let (tg, fg) = self.cond_node(cond);

@@ -404,6 +404,23 @@ struct FileMeta {
     decls: Vec<DeclRecord>,
     /// Lowercased call targets referenced anywhere in the file, sorted.
     refs: Vec<String>,
+    /// Lines of source, the file's share of the report's LoC.
+    loc: usize,
+    /// The declarations the taint passes read, for a file the decl stage
+    /// parsed; `None` when its decl entry came from the cache, whose
+    /// `decls` hold the same as strings.
+    declared: Option<Declared>,
+}
+
+/// A parsed file's declarations as the taint passes read them, derived
+/// on the runtime next to the parse.
+struct Declared {
+    /// Lowercased names, in declaration order.
+    names: Vec<Symbol>,
+    /// Each declaration's call targets ([`function_refs`]), walked once
+    /// for both the decl entry and the phase-A call graph; empty when
+    /// neither reads them (no store, interprocedural analysis off).
+    refs: Vec<Vec<Symbol>>,
 }
 
 impl FileMeta {
@@ -702,7 +719,7 @@ pub(crate) fn analyze(
 
     let (files, programs, parse_errors) = decl_stage(&scan, &mut ns);
     // only successfully parsed files count as analyzed LoC
-    let loc = files.iter().map(|f| sources[f.src].1.lines().count()).sum();
+    let loc = files.iter().map(|f| f.loc).sum();
 
     // A file's pass output depends on exactly the canonical declarations
     // in its dependency closure, so its digest covers that closure and
@@ -870,46 +887,57 @@ fn decl_stage(
     Vec<(String, ParseError)>,
 ) {
     let sources = scan.sources;
-    let (mut hashes, mut infos): (Vec<String>, Vec<Option<DeclInfo>>) = match scan.store {
-        Some(store) => {
-            let t = Instant::now();
-            let hashes: Vec<String> = scan
-                .runtime
-                .run(sources.len(), |i| content_hash(&sources[i].1));
-            let infos = hashes
-                .iter()
-                .zip(sources)
-                .map(|(h, (name, _))| probe(store, &decl_key(h), name, scan.obs, decode_decl))
-                .collect();
-            ns.cache += elapsed_ns(t);
-            (hashes, infos)
-        }
-        None => (Vec::new(), sources.iter().map(|_| None).collect()),
-    };
+    // with a store, every file's line count rides along with its hash;
+    // with none, every file is parsed, and counted next to its parse
+    let (mut hashes, mut infos, mut locs): (Vec<String>, Vec<Option<DeclInfo>>, Vec<usize>) =
+        match scan.store {
+            Some(store) => {
+                let t = Instant::now();
+                let (hashes, locs): (Vec<String>, Vec<usize>) = scan
+                    .runtime
+                    .run(sources.len(), |i| {
+                        let src = &sources[i].1;
+                        (content_hash(src), src.lines().count())
+                    })
+                    .into_iter()
+                    .unzip();
+                let infos = hashes
+                    .iter()
+                    .zip(sources)
+                    .map(|(h, (name, _))| probe(store, &decl_key(h), name, scan.obs, decode_decl))
+                    .collect();
+                ns.cache += elapsed_ns(t);
+                (hashes, infos, locs)
+            }
+            None => (
+                Vec::new(),
+                sources.iter().map(|_| None).collect(),
+                vec![0; sources.len()],
+            ),
+        };
 
     let miss: Vec<usize> = (0..sources.len()).filter(|&i| infos[i].is_none()).collect();
+    let interprocedural = scan.tool.config.analysis.interprocedural;
     let t = Instant::now();
     let parsed = scan.runtime.map(miss.clone(), |_, i| {
         let _span = scan.obs.span_file(Phase::Parse, &sources[i].0);
-        parse(&sources[i].1)
+        let src = &sources[i].1;
+        let program = parse(src)?;
+        let loc = scan.store.is_none().then(|| src.lines().count());
+        let (declared, info) = declare(src, &program, scan.store.is_some(), interprocedural);
+        Ok::<_, ParseError>((program, loc, declared, info))
     });
     ns.parse += elapsed_ns(t);
 
-    let mut programs: Vec<Option<Program>> = sources.iter().map(|_| None).collect();
+    let mut programs: Vec<Option<(Program, Declared)>> = sources.iter().map(|_| None).collect();
     let t = Instant::now();
     for (&i, result) in miss.iter().zip(parsed) {
         let info = match result {
-            Ok(program) => {
-                // declarations are key material: a scan with no store
-                // records none
-                let info = match scan.store {
-                    Some(_) => decl_info(&sources[i].1, &program),
-                    None => DeclInfo::Decls {
-                        decls: Vec::new(),
-                        refs: Vec::new(),
-                    },
-                };
-                programs[i] = Some(program);
+            Ok((program, loc, declared, info)) => {
+                if let Some(loc) = loc {
+                    locs[i] = loc;
+                }
+                programs[i] = Some((program, declared));
                 info
             }
             Err(e) => DeclInfo::Unparsed {
@@ -934,12 +962,15 @@ fn decl_stage(
         match info.expect("decl info resolved above") {
             DeclInfo::Decls { decls, refs } => {
                 let hash = hashes.get_mut(i).map(std::mem::take).unwrap_or_default();
+                let (program, declared) = program.unzip();
                 files.push(FileMeta {
                     src: i,
                     name,
                     hash,
                     decls,
                     refs,
+                    loc: locs[i],
+                    declared,
                 });
                 parsed.push(program.map_or_else(OnceLock::new, OnceLock::from));
             }
@@ -951,26 +982,47 @@ fn decl_stage(
     (files, parsed, parse_errors)
 }
 
-/// A parsed file's decl entry: its declarations with their fingerprints
-/// and call targets, and every call target it references.
-fn decl_info(src: &str, program: &Program) -> DeclInfo {
-    let decls = program
-        .functions()
-        .into_iter()
-        .map(|f| DeclRecord {
-            name: f.name.lower().as_str().to_string(),
-            fp: function_fingerprint(src, f),
-            refs: function_refs(f)
+/// Derives a freshly parsed file's declarations for the taint passes and,
+/// when `keyed` (the scan has a store), its decl entry. Each
+/// declaration's call targets are walked once, when either reads them.
+fn declare(
+    src: &str,
+    program: &Program,
+    keyed: bool,
+    interprocedural: bool,
+) -> (Declared, DeclInfo) {
+    let functions = program.functions();
+    let names: Vec<Symbol> = functions.iter().map(|f| f.name.lower()).collect();
+    let refs: Vec<Vec<Symbol>> = if keyed || interprocedural {
+        functions.iter().map(|f| function_refs(f)).collect()
+    } else {
+        Vec::new()
+    };
+    // declarations are key material: a scan with no store records none
+    let info = if keyed {
+        DeclInfo::Decls {
+            decls: functions
+                .iter()
+                .zip(&names)
+                .zip(&refs)
+                .map(|((f, name), refs)| DeclRecord {
+                    name: name.as_str().to_string(),
+                    fp: function_fingerprint(src, f),
+                    refs: refs.iter().map(|r| r.as_str().to_string()).collect(),
+                })
+                .collect(),
+            refs: referenced_names(program)
                 .into_iter()
                 .map(|r| r.as_str().to_string())
                 .collect(),
-        })
-        .collect();
-    let refs = referenced_names(program)
-        .into_iter()
-        .map(|r| r.as_str().to_string())
-        .collect();
-    DeclInfo::Decls { decls, refs }
+        }
+    } else {
+        DeclInfo::Decls {
+            decls: Vec::new(),
+            refs: Vec::new(),
+        }
+    };
+    (Declared { names, refs }, info)
 }
 
 /// Parses every file in `want` that has no program yet, in parallel. A
@@ -1279,10 +1331,33 @@ fn taint_pass(
         }
     }
 
-    let functions: Vec<&[&Function]> = (0..files.len())
-        .map(|i| match programs[i].get() {
-            Some(p) => t_in.functions[i].get_or_init(|| p.functions()).as_slice(),
-            None => &[],
+    // each program's declarations are walked once for both passes, one
+    // program per task
+    let unwalked: Vec<usize> = (0..files.len())
+        .filter(|&i| programs[i].get().is_some() && t_in.functions[i].get().is_none())
+        .collect();
+    scan.runtime.map(unwalked, |_, i| {
+        let program = programs[i].get().expect("filtered on a program");
+        t_in.functions[i].get_or_init(|| program.functions());
+    });
+    let functions: Vec<&[&Function]> = t_in
+        .functions
+        .iter()
+        .map(|f| f.get().map_or(&[][..], Vec::as_slice))
+        .collect();
+    // a fresh file whose decl entry came from the cache reads its
+    // declarations' call targets from the entry, not from its bodies
+    let interprocedural = scan.tool.config.analysis.interprocedural;
+    let recorded: Vec<Vec<Vec<Symbol>>> = files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| match f.declared {
+            None if interprocedural && cached[i].is_none() => f
+                .decls
+                .iter()
+                .map(|d| d.refs.iter().map(|r| Symbol::intern(r)).collect())
+                .collect(),
+            _ => Vec::new(),
         })
         .collect();
     let inputs: Vec<PassInput<'_>> = files
@@ -1291,10 +1366,11 @@ fn taint_pass(
         .map(|(i, f)| PassInput {
             name: f.name.clone(),
             program: programs[i].get(),
-            decl_names: match programs[i].get() {
-                Some(_) => functions[i].iter().map(|func| func.name.lower()).collect(),
+            decl_names: match &f.declared {
+                Some(d) => d.names.clone(),
                 None => f.decls.iter().map(|d| Symbol::intern(&d.name)).collect(),
             },
+            decl_refs: f.declared.as_ref().map_or(&recorded[i], |d| &d.refs),
             cached: cached[i].take(),
         })
         .collect();
@@ -1522,6 +1598,8 @@ mod tests {
             hash: String::new(),
             decls,
             refs: Vec::new(),
+            loc: 0,
+            declared: None,
         };
         let files = vec![
             file("a.php", vec![decl("a", &["b"])]),

@@ -421,7 +421,9 @@ impl WapTool {
     /// set, or configuration changed since the cached run are re-analyzed;
     /// the findings are bit-identical to an uncached run either way.
     pub fn analyze_sources(&self, sources: &[(String, String)]) -> AppReport {
-        self.analyze(sources, &self.config.scan).0
+        let (report, artifacts) = self.analyze(sources, &self.config.scan);
+        artifacts.release(&self.runtime());
+        report
     }
 
     /// Scans `sources` under `options`: the analysis with the value
@@ -446,10 +448,12 @@ impl WapTool {
         options: &ScanOptions,
     ) -> Result<AppReport, wap_cfg::RuleError> {
         let (mut report, artifacts) = self.analyze(sources, options);
-        if options.lint.is_some() {
-            self.lint(&mut report, sources, options, &artifacts)?;
-        }
-        Ok(report)
+        let linted = match options.lint {
+            Some(_) => self.lint(&mut report, sources, options, &artifacts),
+            None => Ok(()),
+        };
+        artifacts.release(&self.runtime());
+        linted.map(|()| report)
     }
 
     /// The analysis pipeline, with the tool's store when it has one. A
@@ -784,6 +788,18 @@ pub(crate) struct ScanArtifacts {
     /// Every parsed file's value facts, keyed by name, when the value
     /// stage derived them all.
     pub(crate) values: Option<HashMap<String, wap_cfg::FileValues>>,
+}
+
+impl ScanArtifacts {
+    /// Frees what the scan derived, one file per task on `runtime`, so a
+    /// large app's trees are not torn down on the calling thread alone.
+    pub(crate) fn release(self, runtime: &Runtime) {
+        let programs: Vec<Program> = self.programs.into_iter().flatten().collect();
+        runtime.map(programs, |_, program| drop(program));
+        if let Some(values) = self.values {
+            runtime.map(values.into_values().collect(), |_, facts| drop(facts));
+        }
+    }
 }
 
 /// Rewrites value-context symptoms from the lattice at this candidate's

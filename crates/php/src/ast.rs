@@ -8,6 +8,9 @@
 //!
 //! All nodes are plain data (`pub` fields) in the spirit of passive compound
 //! structures; invariants are enforced by the parser that constructs them.
+//! Every node sequence is a `Box<[T]>` the parser allocates once at its
+//! final length: a parsed tree holds no spare capacity, and no node pays
+//! for a capacity word.
 
 use crate::intern::Symbol;
 use crate::span::Span;
@@ -16,7 +19,7 @@ use crate::span::Span;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Top-level statements, including inline HTML chunks.
-    pub stmts: Vec<Stmt>,
+    pub stmts: Box<[Stmt]>,
 }
 
 impl Program {
@@ -59,7 +62,7 @@ fn collect_functions<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a Function>) {
 /// Layout: every statement is as wide as the widest [`StmtKind`] variant,
 /// so the payloads of the wide, rare variants live behind a box (`If`'s
 /// condition, `Foreach`'s expressions, `For`'s expression lists). The
-/// `ast::tests::node_layout_budget` test pins `Stmt` at 112 bytes or less.
+/// `ast::tests::node_layout_budget` test pins `Stmt` at 88 bytes or less.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     /// The statement payload.
@@ -81,7 +84,7 @@ pub enum StmtKind {
     /// An expression evaluated for effect (`$x = f();`).
     Expr(Expr),
     /// `echo e1, e2, ...;` — also produced by `<?= ... ?>`.
-    Echo(Vec<Expr>),
+    Echo(Box<[Expr]>),
     /// Raw HTML between PHP regions. Equivalent to an echo of a literal.
     InlineHtml(String),
     /// `if` / `elseif` / `else` chain.
@@ -89,23 +92,23 @@ pub enum StmtKind {
         /// Condition of the leading `if` (boxed: see [`Stmt`]'s layout note).
         cond: Box<Expr>,
         /// Then-branch body.
-        then_branch: Vec<Stmt>,
+        then_branch: Box<[Stmt]>,
         /// `elseif` arms in order.
-        elseifs: Vec<(Expr, Vec<Stmt>)>,
+        elseifs: Box<[(Expr, Box<[Stmt]>)]>,
         /// Optional `else` body.
-        else_branch: Option<Vec<Stmt>>,
+        else_branch: Option<Box<[Stmt]>>,
     },
     /// `while (cond) body`.
     While {
         /// Loop condition.
         cond: Expr,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Box<[Stmt]>,
     },
     /// `do body while (cond);`.
     DoWhile {
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Box<[Stmt]>,
         /// Loop condition.
         cond: Expr,
     },
@@ -118,7 +121,7 @@ pub enum StmtKind {
         /// Step expressions.
         step: Box<[Expr]>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Box<[Stmt]>,
     },
     /// `foreach ($array as $key => $value) body`.
     Foreach {
@@ -131,14 +134,14 @@ pub enum StmtKind {
         /// Value variable (or list pattern).
         value: Box<Expr>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Box<[Stmt]>,
     },
     /// `switch (subject) { case ...: ... }`.
     Switch {
         /// The switched-on expression.
         subject: Expr,
         /// Case arms, `default` has `test == None`.
-        cases: Vec<SwitchCase>,
+        cases: Box<[SwitchCase]>,
     },
     /// `break [n];`
     Break(Option<i64>),
@@ -147,9 +150,9 @@ pub enum StmtKind {
     /// `return [expr];`
     Return(Option<Expr>),
     /// `global $a, $b;`
-    Global(Vec<Symbol>),
+    Global(Box<[Symbol]>),
     /// `static $a = 1, $b;` inside a function.
-    StaticVars(Vec<(Symbol, Option<Expr>)>),
+    StaticVars(Box<[(Symbol, Option<Expr>)]>),
     /// A user-defined function declaration.
     Function(Function),
     /// A class declaration.
@@ -162,17 +165,17 @@ pub enum StmtKind {
         path: Expr,
     },
     /// `unset($a, $b);`
-    Unset(Vec<Expr>),
+    Unset(Box<[Expr]>),
     /// A `{ ... }` block.
-    Block(Vec<Stmt>),
+    Block(Box<[Stmt]>),
     /// `try { } catch (...) { } finally { }`.
     Try {
         /// Protected body.
-        body: Vec<Stmt>,
+        body: Box<[Stmt]>,
         /// Catch clauses.
-        catches: Vec<CatchClause>,
+        catches: Box<[CatchClause]>,
         /// Optional finally body.
-        finally: Option<Vec<Stmt>>,
+        finally: Option<Box<[Stmt]>>,
     },
     /// `throw expr;`
     Throw(Expr),
@@ -216,7 +219,7 @@ impl StmtKind {
             .chain(cases.iter().map(|c| &c.body))
             .chain(catches.iter().map(|c| &c.body))
             .chain(last)
-            .map(Vec::as_slice)
+            .map(|b| &b[..])
     }
 }
 
@@ -226,7 +229,7 @@ pub struct SwitchCase {
     /// `case expr:` test; `None` for `default:`.
     pub test: Option<Expr>,
     /// The arm's statements (fallthrough is represented by an empty tail).
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
     /// Source location of the arm.
     pub span: Span,
 }
@@ -235,11 +238,11 @@ pub struct SwitchCase {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CatchClause {
     /// Caught exception class names.
-    pub types: Vec<Symbol>,
+    pub types: Box<[Symbol]>,
     /// The bound variable, if any.
     pub var: Option<Symbol>,
     /// Handler body.
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
 }
 
 /// Which include-like construct was used.
@@ -273,9 +276,9 @@ pub struct Function {
     /// Function name (original spelling).
     pub name: Symbol,
     /// Declared parameters in order.
-    pub params: Vec<Param>,
+    pub params: Box<[Param]>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
     /// Whether declared as `function &name`.
     pub by_ref: bool,
     /// Source location of the whole declaration.
@@ -305,9 +308,9 @@ pub struct Class {
     /// `extends` parent, if any.
     pub parent: Option<Symbol>,
     /// `implements` interfaces.
-    pub interfaces: Vec<Symbol>,
+    pub interfaces: Box<[Symbol]>,
     /// Properties, constants, and methods.
-    pub members: Vec<ClassMember>,
+    pub members: Box<[ClassMember]>,
     /// Source location.
     pub span: Span,
 }
@@ -374,7 +377,7 @@ pub enum ClassMember {
 /// Layout: like [`Stmt`], every expression is as wide as the widest
 /// [`ExprKind`] variant, so the rare anonymous function keeps its three
 /// lists behind one box. The `ast::tests::node_layout_budget` test pins
-/// `Expr` at 56 bytes or less.
+/// `Expr` at 48 bytes or less.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
     /// The expression payload.
@@ -438,7 +441,7 @@ pub enum ExprKind {
     Name(Symbol),
     /// Double-quoted/heredoc string with interpolation, decomposed into
     /// literal and variable parts (all parts are expressions).
-    Interp(Vec<Expr>),
+    Interp(Box<[Expr]>),
     /// `base[index]` — `index == None` for the push form `$a[] = ...`.
     ArrayDim {
         /// The indexed expression.
@@ -473,7 +476,7 @@ pub enum ExprKind {
         /// Callee expression.
         callee: Box<Expr>,
         /// Arguments in order.
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
     },
     /// `target->method(args)`
     MethodCall {
@@ -482,7 +485,7 @@ pub enum ExprKind {
         /// Method name.
         method: Symbol,
         /// Arguments in order.
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
     },
     /// `Class::method(args)`
     StaticCall {
@@ -491,14 +494,14 @@ pub enum ExprKind {
         /// Method name.
         method: Symbol,
         /// Arguments in order.
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
     },
     /// `new Class(args)`
     New {
         /// Instantiated class name (dynamic `new $c` stores `"$c"`).
         class: Symbol,
         /// Constructor arguments.
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
     },
     /// Assignment, including compound forms and by-reference.
     Assign {
@@ -553,13 +556,13 @@ pub enum ExprKind {
         expr: Box<Expr>,
     },
     /// `isset($a, $b)`
-    Isset(Vec<Expr>),
+    Isset(Box<[Expr]>),
     /// `empty($a)`
     Empty(Box<Expr>),
     /// `array(...)` / `[...]`
-    Array(Vec<ArrayItem>),
+    Array(Box<[ArrayItem]>),
     /// `list($a, , $b) = ...` target.
-    List(Vec<Option<Expr>>),
+    List(Box<[Option<Expr>]>),
     /// Anonymous function (boxed: see [`Expr`]'s layout note).
     Closure(Box<Closure>),
     /// `@expr` — error suppression.
@@ -580,7 +583,7 @@ pub enum ExprKind {
     Clone(Box<Expr>),
     /// `` `cmd` `` — backtick shell execution (an OS command injection
     /// sink when interpolated with tainted data).
-    ShellExec(Vec<Expr>),
+    ShellExec(Box<[Expr]>),
     /// `include`-as-expression (e.g. `$ok = include $path;`).
     IncludeExpr {
         /// Include flavor.
@@ -594,11 +597,11 @@ pub enum ExprKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Closure {
     /// Parameters.
-    pub params: Vec<Param>,
+    pub params: Box<[Param]>,
     /// `use (...)` captures: name + by-ref flag.
-    pub uses: Vec<(Symbol, bool)>,
+    pub uses: Box<[(Symbol, bool)]>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
 }
 
 /// Literal values.
@@ -883,9 +886,12 @@ mod tests {
         let mk = |k| Stmt::new(k, Span::synthetic());
         let s = StmtKind::If {
             cond: Box::new(var("c")),
-            then_branch: vec![mk(StmtKind::Nop)],
-            elseifs: vec![(var("d"), vec![mk(StmtKind::Nop), mk(StmtKind::Nop)])],
-            else_branch: Some(vec![]),
+            then_branch: Box::new([mk(StmtKind::Nop)]),
+            elseifs: Box::new([(
+                var("d"),
+                Box::new([mk(StmtKind::Nop), mk(StmtKind::Nop)]) as Box<[_]>,
+            )]),
+            else_branch: Some(Box::new([])),
         };
         let blocks: Vec<_> = s.child_blocks().collect();
         assert_eq!(blocks.len(), 3);
@@ -897,13 +903,14 @@ mod tests {
     #[test]
     fn node_layout_budget() {
         use std::mem::size_of;
+        eprintln!("SIZES stmt={} expr={} stmtkind={} exprkind={} lit={} param={} fn={} class={} case={} item={}", size_of::<Stmt>(), size_of::<Expr>(), size_of::<StmtKind>(), size_of::<ExprKind>(), size_of::<Lit>(), size_of::<Param>(), size_of::<Function>(), size_of::<Class>(), size_of::<SwitchCase>(), size_of::<ArrayItem>());
         assert!(
-            size_of::<Stmt>() <= 112,
+            size_of::<Stmt>() <= 88,
             "Stmt is {} bytes",
             size_of::<Stmt>()
         );
         assert!(
-            size_of::<Expr>() <= 56,
+            size_of::<Expr>() <= 48,
             "Expr is {} bytes",
             size_of::<Expr>()
         );
@@ -913,41 +920,41 @@ mod tests {
     fn functions_collects_nested_and_methods() {
         let f_inner = Function {
             name: "inner".into(),
-            params: vec![],
-            body: vec![],
+            params: Box::new([]),
+            body: Box::new([]),
             by_ref: false,
             span: Span::synthetic(),
         };
         let f_outer = Function {
             name: "outer".into(),
-            params: vec![],
-            body: vec![Stmt::new(StmtKind::Function(f_inner), Span::synthetic())],
+            params: Box::new([]),
+            body: Box::new([Stmt::new(StmtKind::Function(f_inner), Span::synthetic())]),
             by_ref: false,
             span: Span::synthetic(),
         };
         let method = Function {
             name: "run".into(),
-            params: vec![],
-            body: vec![],
+            params: Box::new([]),
+            body: Box::new([]),
             by_ref: false,
             span: Span::synthetic(),
         };
         let class = Class {
             name: "C".into(),
             parent: None,
-            interfaces: vec![],
-            members: vec![ClassMember::Method {
+            interfaces: Box::new([]),
+            members: Box::new([ClassMember::Method {
                 func: method,
                 visibility: Visibility::Public,
                 is_static: false,
-            }],
+            }]),
             span: Span::synthetic(),
         };
         let prog = Program {
-            stmts: vec![
+            stmts: Box::new([
                 Stmt::new(StmtKind::Function(f_outer), Span::synthetic()),
                 Stmt::new(StmtKind::Class(class), Span::synthetic()),
-            ],
+            ]),
         };
         let names: Vec<_> = prog.functions().iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["outer", "inner", "run"]);
@@ -957,20 +964,20 @@ mod tests {
     fn class_method_lookup_case_insensitive() {
         let method = Function {
             name: "Query".into(),
-            params: vec![],
-            body: vec![],
+            params: Box::new([]),
+            body: Box::new([]),
             by_ref: false,
             span: Span::synthetic(),
         };
         let class = Class {
             name: "wpdb".into(),
             parent: None,
-            interfaces: vec![],
-            members: vec![ClassMember::Method {
+            interfaces: Box::new([]),
+            members: Box::new([ClassMember::Method {
                 func: method,
                 visibility: Visibility::Public,
                 is_static: false,
-            }],
+            }]),
             span: Span::synthetic(),
         };
         assert!(class.method("query").is_some());

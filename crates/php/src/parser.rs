@@ -30,7 +30,13 @@ use crate::token::{IndexKey, StrPart, Token, TokenKind};
 /// ```
 pub fn parse(src: &str) -> ParseResult<Program> {
     let tokens = tokenize(src)?;
-    Parser::new(tokens).parse_program()
+    SCRATCH.with(|kept| {
+        let mut parser = Parser::new(tokens, kept.take());
+        let program = parser.parse_program();
+        parser.scratch.recycle();
+        kept.set(parser.scratch);
+        program
+    })
 }
 
 /// The deepest nesting the parser descends into. Statements and blocks,
@@ -47,6 +53,102 @@ struct Parser {
     pos: usize,
     /// Nesting levels entered and not yet left (see [`MAX_NESTING`]).
     depth: usize,
+    /// Where every node sequence is built (see [`Scratch`]).
+    scratch: Scratch,
+}
+
+/// Declares [`Scratch`], one stack per listed element type, and ties each
+/// type to its stack.
+macro_rules! scratch {
+    ($(#[$doc:meta])* $($field:ident: $ty:ty),* $(,)?) => {
+        $(#[$doc])*
+        #[derive(Default)]
+        struct Scratch {
+            $($field: Vec<$ty>,)*
+        }
+
+        $(impl Scratched for $ty {
+            fn stack(scratch: &mut Scratch) -> &mut Vec<Self> {
+                &mut scratch.$field
+            }
+        })*
+
+        impl Scratch {
+            /// Empties every stack for the next parse on this thread (a
+            /// failed parse leaves elements behind), freeing any stack
+            /// one large file grew past [`RETAINED_BYTES`].
+            fn recycle(&mut self) {
+                $(recycle(&mut self.$field);)*
+            }
+        }
+    };
+}
+
+scratch! {
+    /// The parser's scratch stacks, one per sequence element type. A list
+    /// opens with [`Scratch::open`], pushes its elements, and closes with
+    /// [`Scratch::take`], which moves them into one `Box<[T]>` of exactly
+    /// their count: one allocation per non-empty list, with no growth
+    /// reallocation and no shrink. A list nested in an element pushes
+    /// above its parent's elements and is taken before the parent pushes
+    /// again, so each stack stays in order. Each thread keeps its stacks
+    /// from one parse to the next, so their buffers grow once, not once
+    /// per file.
+    stmts: Stmt,
+    exprs: Expr,
+    elseifs: (Expr, Box<[Stmt]>),
+    cases: SwitchCase,
+    catches: CatchClause,
+    symbols: Symbol,
+    statics: (Symbol, Option<Expr>),
+    params: Param,
+    members: ClassMember,
+    items: ArrayItem,
+    slots: Option<Expr>,
+    uses: (Symbol, bool),
+}
+
+/// A stack this much larger is freed after the parse instead of kept for
+/// the thread's next one.
+const RETAINED_BYTES: usize = 64 * 1024;
+
+fn recycle<T>(stack: &mut Vec<T>) {
+    if stack.capacity() * std::mem::size_of::<T>() > RETAINED_BYTES {
+        *stack = Vec::new();
+    } else {
+        stack.clear();
+    }
+}
+
+thread_local! {
+    /// This thread's [`Scratch`] between parses.
+    static SCRATCH: std::cell::Cell<Scratch> = std::cell::Cell::default();
+}
+
+/// An element type with its own stack in [`Scratch`].
+trait Scratched: Sized {
+    fn stack(scratch: &mut Scratch) -> &mut Vec<Self>;
+}
+
+/// An open list: the height of its stack when the list began.
+struct Mark<T>(usize, std::marker::PhantomData<fn() -> T>);
+
+impl Scratch {
+    fn open<T: Scratched>(&mut self) -> Mark<T> {
+        Mark(T::stack(self).len(), std::marker::PhantomData)
+    }
+
+    fn push<T: Scratched>(&mut self, item: T) {
+        T::stack(self).push(item);
+    }
+
+    /// Closes `list`: its elements, in push order, in one exact-size
+    /// allocation (none when empty).
+    fn take<T: Scratched>(&mut self, list: Mark<T>) -> Box<[T]> {
+        // `Drain` has an exact length, so `collect` allocates once at
+        // that length and the boxing needs no shrink
+        T::stack(self).drain(list.0..).collect()
+    }
 }
 
 /// Binds a token to its binary operator and precedence tier for
@@ -82,11 +184,12 @@ fn binary_op(tok: &TokenKind) -> Option<(BinOp, u8)> {
 }
 
 impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+    fn new(tokens: Vec<Token>, scratch: Scratch) -> Self {
         Parser {
             tokens,
             pos: 0,
             depth: 0,
+            scratch,
         }
     }
 
@@ -204,11 +307,8 @@ impl Parser {
 
     // ---- program & statements ----
 
-    fn parse_program(mut self) -> ParseResult<Program> {
-        let mut stmts = Vec::new();
-        while !matches!(self.peek(), TokenKind::Eof) {
-            stmts.push(self.parse_stmt()?);
-        }
+    fn parse_program(&mut self) -> ParseResult<Program> {
+        let stmts = self.parse_stmts_until(&TokenKind::Eof)?;
         Ok(Program { stmts })
     }
 
@@ -284,10 +384,7 @@ impl Parser {
             }
             TokenKind::Echo => {
                 self.bump();
-                let mut items = vec![self.parse_expr()?];
-                while self.eat(&TokenKind::Comma) {
-                    items.push(self.parse_expr()?);
-                }
+                let items = self.parse_expr_list()?;
                 self.end_stmt()?;
                 StmtKind::Echo(items)
             }
@@ -325,10 +422,10 @@ impl Parser {
             }
             TokenKind::Global => {
                 self.bump();
-                let mut names = Vec::new();
+                let names = self.scratch.open();
                 loop {
                     match self.bump().kind {
-                        TokenKind::Variable(n) => names.push(n),
+                        TokenKind::Variable(n) => self.scratch.push(n),
                         _ => return Err(self.unexpected("expected variable in global")),
                     }
                     if !self.eat(&TokenKind::Comma) {
@@ -336,11 +433,11 @@ impl Parser {
                     }
                 }
                 self.end_stmt()?;
-                StmtKind::Global(names)
+                StmtKind::Global(self.scratch.take(names))
             }
             TokenKind::Static if matches!(self.peek_at(1), TokenKind::Variable(_)) => {
                 self.bump();
-                let mut vars = Vec::new();
+                let vars = self.scratch.open();
                 loop {
                     let name = match self.bump().kind {
                         TokenKind::Variable(n) => n,
@@ -351,13 +448,13 @@ impl Parser {
                     } else {
                         None
                     };
-                    vars.push((name, default));
+                    self.scratch.push((name, default));
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
                 }
                 self.end_stmt()?;
-                StmtKind::StaticVars(vars)
+                StmtKind::StaticVars(self.scratch.take(vars))
             }
             TokenKind::Include
             | TokenKind::IncludeOnce
@@ -376,15 +473,11 @@ impl Parser {
             TokenKind::Unset => {
                 self.bump();
                 self.expect(&TokenKind::LParen)?;
-                let mut targets = Vec::new();
-                if !matches!(self.peek(), TokenKind::RParen) {
-                    loop {
-                        targets.push(self.parse_expr()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                }
+                let targets = if matches!(self.peek(), TokenKind::RParen) {
+                    Box::default()
+                } else {
+                    self.parse_expr_list()?
+                };
                 self.expect(&TokenKind::RParen)?;
                 self.end_stmt()?;
                 StmtKind::Unset(targets)
@@ -447,42 +540,60 @@ impl Parser {
         }
     }
 
-    fn parse_stmts_until(&mut self, end: &TokenKind) -> ParseResult<Vec<Stmt>> {
-        let mut out = Vec::new();
+    fn parse_stmts_until(&mut self, end: &TokenKind) -> ParseResult<Box<[Stmt]>> {
+        let out = self.scratch.open();
         while self.peek() != end && !matches!(self.peek(), TokenKind::Eof) {
-            out.push(self.parse_stmt()?);
+            let stmt = self.parse_stmt()?;
+            self.scratch.push(stmt);
         }
-        Ok(out)
+        Ok(self.scratch.take(out))
+    }
+
+    /// One or more comma-separated expressions.
+    fn parse_expr_list(&mut self) -> ParseResult<Box<[Expr]>> {
+        let out = self.scratch.open();
+        loop {
+            let e = self.parse_expr()?;
+            self.scratch.push(e);
+            if !self.eat(&TokenKind::Comma) {
+                break;
+            }
+        }
+        Ok(self.scratch.take(out))
     }
 
     /// Parses either `{ ... }`, a single statement, or (when `alt_end` is
     /// given) the alternative syntax `: ... alt_end`.
-    fn parse_body(&mut self, alt_ends: &[&str]) -> ParseResult<(Vec<Stmt>, AltEnd)> {
+    fn parse_body(&mut self, alt_ends: &[&str]) -> ParseResult<(Box<[Stmt]>, AltEnd)> {
         if self.eat(&TokenKind::LBrace) {
             let body = self.parse_stmts_until(&TokenKind::RBrace)?;
             self.expect(&TokenKind::RBrace)?;
             return Ok((body, AltEnd::None));
         }
         if self.eat(&TokenKind::Colon) {
-            let mut body = Vec::new();
-            loop {
+            let body = self.scratch.open();
+            let end = loop {
                 match self.peek() {
                     TokenKind::Ident(n)
                         if alt_ends.iter().any(|e| n.as_str().eq_ignore_ascii_case(e)) =>
                     {
-                        return Ok((body, AltEnd::Keyword(n.lower())));
+                        break AltEnd::Keyword(n.lower());
                     }
                     TokenKind::Else | TokenKind::Elseif if alt_ends.contains(&"endif") => {
-                        return Ok((body, AltEnd::ElseArm));
+                        break AltEnd::ElseArm;
                     }
                     TokenKind::Eof => {
                         return Err(self.unexpected("unterminated alternative-syntax block"))
                     }
-                    _ => body.push(self.parse_stmt()?),
+                    _ => {
+                        let stmt = self.parse_stmt()?;
+                        self.scratch.push(stmt);
+                    }
                 }
-            }
+            };
+            return Ok((self.scratch.take(body), end));
         }
-        Ok((vec![self.parse_stmt()?], AltEnd::None))
+        Ok((Box::new([self.parse_stmt()?]), AltEnd::None))
     }
 
     fn parse_if(&mut self) -> ParseResult<Stmt> {
@@ -492,7 +603,7 @@ impl Parser {
         let cond = Box::new(self.parse_expr()?);
         self.expect(&TokenKind::RParen)?;
         let (then_branch, alt) = self.parse_body(&["endif"])?;
-        let mut elseifs = Vec::new();
+        let elseifs = self.scratch.open();
         let mut else_branch = None;
         match alt {
             AltEnd::None => loop {
@@ -501,7 +612,7 @@ impl Parser {
                     let c = self.parse_expr()?;
                     self.expect(&TokenKind::RParen)?;
                     let (b, _) = self.parse_body(&[])?;
-                    elseifs.push((c, b));
+                    self.scratch.push((c, b));
                 } else if matches!(self.peek(), TokenKind::Else)
                     && matches!(self.peek_at(1), TokenKind::If)
                 {
@@ -511,7 +622,7 @@ impl Parser {
                     let c = self.parse_expr()?;
                     self.expect(&TokenKind::RParen)?;
                     let (b, _) = self.parse_body(&[])?;
-                    elseifs.push((c, b));
+                    self.scratch.push((c, b));
                 } else if self.eat(&TokenKind::Else) {
                     let (b, _) = self.parse_body(&[])?;
                     else_branch = Some(b);
@@ -533,7 +644,7 @@ impl Parser {
                         let c = self.parse_expr()?;
                         self.expect(&TokenKind::RParen)?;
                         let (b, a) = self.parse_body(&["endif"])?;
-                        elseifs.push((c, b));
+                        self.scratch.push((c, b));
                         match a {
                             AltEnd::ElseArm => continue,
                             AltEnd::Keyword(_) => {
@@ -545,17 +656,18 @@ impl Parser {
                         }
                     } else if self.eat(&TokenKind::Else) {
                         self.expect(&TokenKind::Colon)?;
-                        let mut b = Vec::new();
+                        let b = self.scratch.open();
                         while !matches!(self.peek(), TokenKind::Ident(n) if n.as_str().eq_ignore_ascii_case("endif"))
                         {
                             if matches!(self.peek(), TokenKind::Eof) {
                                 return Err(self.unexpected("unterminated else block"));
                             }
-                            b.push(self.parse_stmt()?);
+                            let stmt = self.parse_stmt()?;
+                            self.scratch.push(stmt);
                         }
                         self.bump(); // endif
                         self.end_stmt()?;
-                        else_branch = Some(b);
+                        else_branch = Some(self.scratch.take(b));
                         break;
                     } else {
                         return Err(self.unexpected("expected else/elseif/endif"));
@@ -568,7 +680,7 @@ impl Parser {
             StmtKind::If {
                 cond,
                 then_branch,
-                elseifs,
+                elseifs: self.scratch.take(elseifs),
                 else_branch,
             },
             span,
@@ -636,16 +748,10 @@ impl Parser {
     /// One comma-separated `for` header clause, possibly empty, up to (not
     /// including) `end`.
     fn parse_for_clause(&mut self, end: &TokenKind) -> ParseResult<Box<[Expr]>> {
-        let mut exprs = Vec::new();
-        if self.peek() != end {
-            loop {
-                exprs.push(self.parse_expr()?);
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
+        if self.peek() == end {
+            return Ok(Box::default());
         }
-        Ok(exprs.into_boxed_slice())
+        self.parse_expr_list()
     }
 
     fn parse_foreach(&mut self) -> ParseResult<Stmt> {
@@ -691,7 +797,7 @@ impl Parser {
         if alt {
             self.expect(&TokenKind::Colon)?;
         }
-        let mut cases = Vec::new();
+        let cases = self.scratch.open();
         loop {
             match *self.peek() {
                 TokenKind::Case => {
@@ -702,7 +808,7 @@ impl Parser {
                         self.expect(&TokenKind::Semi)?;
                     }
                     let body = self.parse_case_body(alt)?;
-                    cases.push(SwitchCase {
+                    self.scratch.push(SwitchCase {
                         test: Some(test),
                         body,
                         span: cspan.merge(self.prev_span()),
@@ -715,7 +821,7 @@ impl Parser {
                         self.expect(&TokenKind::Semi)?;
                     }
                     let body = self.parse_case_body(alt)?;
-                    cases.push(SwitchCase {
+                    self.scratch.push(SwitchCase {
                         test: None,
                         body,
                         span: cspan.merge(self.prev_span()),
@@ -734,22 +840,28 @@ impl Parser {
             }
         }
         Ok(Stmt::new(
-            StmtKind::Switch { subject, cases },
+            StmtKind::Switch {
+                subject,
+                cases: self.scratch.take(cases),
+            },
             start.merge(self.prev_span()),
         ))
     }
 
-    fn parse_case_body(&mut self, alt: bool) -> ParseResult<Vec<Stmt>> {
-        let mut body = Vec::new();
+    fn parse_case_body(&mut self, alt: bool) -> ParseResult<Box<[Stmt]>> {
+        let body = self.scratch.open();
         loop {
             match self.peek() {
                 TokenKind::Case | TokenKind::Default | TokenKind::Eof => break,
                 TokenKind::RBrace if !alt => break,
                 TokenKind::Ident(n) if alt && n.as_str().eq_ignore_ascii_case("endswitch") => break,
-                _ => body.push(self.parse_stmt()?),
+                _ => {
+                    let stmt = self.parse_stmt()?;
+                    self.scratch.push(stmt);
+                }
             }
         }
-        Ok(body)
+        Ok(self.scratch.take(body))
     }
 
     fn parse_try(&mut self) -> ParseResult<Stmt> {
@@ -758,13 +870,10 @@ impl Parser {
         self.expect(&TokenKind::LBrace)?;
         let body = self.parse_stmts_until(&TokenKind::RBrace)?;
         self.expect(&TokenKind::RBrace)?;
-        let mut catches = Vec::new();
+        let catches = self.scratch.open();
         while self.eat(&TokenKind::Catch) {
             self.expect(&TokenKind::LParen)?;
-            let mut types = vec![self.parse_class_name()?];
-            while self.eat(&TokenKind::Pipe) {
-                types.push(self.parse_class_name()?);
-            }
+            let types = self.parse_class_names(&TokenKind::Pipe)?;
             let var = if let TokenKind::Variable(n) = *self.peek() {
                 self.bump();
                 Some(n)
@@ -775,7 +884,7 @@ impl Parser {
             self.expect(&TokenKind::LBrace)?;
             let cbody = self.parse_stmts_until(&TokenKind::RBrace)?;
             self.expect(&TokenKind::RBrace)?;
-            catches.push(CatchClause {
+            self.scratch.push(CatchClause {
                 types,
                 var,
                 body: cbody,
@@ -792,7 +901,7 @@ impl Parser {
         Ok(Stmt::new(
             StmtKind::Try {
                 body,
-                catches,
+                catches: self.scratch.take(catches),
                 finally,
             },
             start.merge(self.prev_span()),
@@ -807,6 +916,19 @@ impl Parser {
             name = self.ident()?;
         }
         Ok(name)
+    }
+
+    /// One or more class names separated by `sep`.
+    fn parse_class_names(&mut self, sep: &TokenKind) -> ParseResult<Box<[Symbol]>> {
+        let names = self.scratch.open();
+        loop {
+            let name = self.parse_class_name()?;
+            self.scratch.push(name);
+            if !self.eat(sep) {
+                break;
+            }
+        }
+        Ok(self.scratch.take(names))
     }
 
     fn parse_function(&mut self) -> ParseResult<Function> {
@@ -832,9 +954,9 @@ impl Parser {
         })
     }
 
-    fn parse_params(&mut self) -> ParseResult<Vec<Param>> {
+    fn parse_params(&mut self) -> ParseResult<Box<[Param]>> {
         self.expect(&TokenKind::LParen)?;
-        let mut params = Vec::new();
+        let params = self.scratch.open();
         if !matches!(self.peek(), TokenKind::RParen) {
             loop {
                 let mut ty = None;
@@ -864,7 +986,7 @@ impl Parser {
                 } else {
                     None
                 };
-                params.push(Param {
+                self.scratch.push(Param {
                     name,
                     by_ref,
                     variadic,
@@ -880,7 +1002,7 @@ impl Parser {
             }
         }
         self.expect(&TokenKind::RParen)?;
-        Ok(params)
+        Ok(self.scratch.take(params))
     }
 
     fn parse_class(&mut self) -> ParseResult<Class> {
@@ -892,26 +1014,23 @@ impl Parser {
         } else {
             None
         };
-        let mut interfaces = Vec::new();
-        if self.eat(&TokenKind::Implements) {
-            loop {
-                interfaces.push(self.parse_class_name()?);
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let interfaces = if self.eat(&TokenKind::Implements) {
+            self.parse_class_names(&TokenKind::Comma)?
+        } else {
+            Box::default()
+        };
         self.expect(&TokenKind::LBrace)?;
-        let mut members = Vec::new();
+        let members = self.scratch.open();
         while !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
-            members.push(self.parse_class_member()?);
+            let member = self.parse_class_member()?;
+            self.scratch.push(member);
         }
         self.expect(&TokenKind::RBrace)?;
         Ok(Class {
             name,
             parent,
             interfaces,
-            members,
+            members: self.scratch.take(members),
             span: start.merge(self.prev_span()),
         })
     }
@@ -1270,7 +1389,7 @@ impl Parser {
                 let args = if matches!(self.peek(), TokenKind::LParen) {
                     self.parse_args()?
                 } else {
-                    Vec::new()
+                    Box::default()
                 };
                 let span = start.merge(self.prev_span());
                 self.parse_postfix(Expr::new(ExprKind::New { class, args }, span))
@@ -1491,18 +1610,15 @@ impl Parser {
         }
     }
 
-    fn parse_args(&mut self) -> ParseResult<Vec<Expr>> {
+    fn parse_args(&mut self) -> ParseResult<Box<[Expr]>> {
         self.expect(&TokenKind::LParen)?;
-        let mut args = Vec::new();
+        let args = self.scratch.open();
         if !matches!(self.peek(), TokenKind::RParen) {
             loop {
                 self.eat(&TokenKind::Amp); // by-ref at call site (PHP4 style)
-                if self.eat(&TokenKind::Ellipsis) {
-                    // spread: keep the inner expression
-                    args.push(self.parse_expr()?);
-                } else {
-                    args.push(self.parse_expr()?);
-                }
+                self.eat(&TokenKind::Ellipsis); // spread: keep the inner expression
+                let arg = self.parse_expr()?;
+                self.scratch.push(arg);
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -1512,7 +1628,7 @@ impl Parser {
             }
         }
         self.expect(&TokenKind::RParen)?;
-        Ok(args)
+        Ok(self.scratch.take(args))
     }
 
     fn parse_primary(&mut self) -> ParseResult<Expr> {
@@ -1537,7 +1653,7 @@ impl Parser {
                     TokenKind::ShellStr(parts) => {
                         let inner = match template_to_expr(parts, start) {
                             ExprKind::Interp(es) => es,
-                            lit => vec![Expr::new(lit, start)],
+                            lit => Box::new([Expr::new(lit, start)]),
                         };
                         ExprKind::ShellExec(inner)
                     }
@@ -1591,31 +1707,29 @@ impl Parser {
             TokenKind::ListKw => {
                 self.bump();
                 self.expect(&TokenKind::LParen)?;
-                let mut items = Vec::new();
+                let items = self.scratch.open();
                 loop {
                     if matches!(self.peek(), TokenKind::Comma) {
-                        items.push(None);
+                        self.scratch.push(None::<Expr>);
                         self.bump();
                         continue;
                     }
                     if matches!(self.peek(), TokenKind::RParen) {
                         break;
                     }
-                    items.push(Some(self.parse_expr()?));
+                    let item = self.parse_expr()?;
+                    self.scratch.push(Some(item));
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
                 }
                 self.expect(&TokenKind::RParen)?;
-                ExprKind::List(items)
+                ExprKind::List(self.scratch.take(items))
             }
             TokenKind::Isset => {
                 self.bump();
                 self.expect(&TokenKind::LParen)?;
-                let mut items = vec![self.parse_expr()?];
-                while self.eat(&TokenKind::Comma) {
-                    items.push(self.parse_expr()?);
-                }
+                let items = self.parse_expr_list()?;
                 self.expect(&TokenKind::RParen)?;
                 ExprKind::Isset(items)
             }
@@ -1645,13 +1759,13 @@ impl Parser {
                 self.bump();
                 let _by_ref = self.eat(&TokenKind::Amp);
                 let params = self.parse_params()?;
-                let mut uses = Vec::new();
+                let uses = self.scratch.open();
                 if self.eat(&TokenKind::Use) {
                     self.expect(&TokenKind::LParen)?;
                     loop {
                         let by_ref = self.eat(&TokenKind::Amp);
                         match self.bump().kind {
-                            TokenKind::Variable(n) => uses.push((n, by_ref)),
+                            TokenKind::Variable(n) => self.scratch.push((n, by_ref)),
                             _ => return Err(self.unexpected("expected variable in use clause")),
                         }
                         if !self.eat(&TokenKind::Comma) {
@@ -1664,6 +1778,7 @@ impl Parser {
                     self.eat(&TokenKind::Question);
                     self.parse_class_name()?;
                 }
+                let uses = self.scratch.take(uses);
                 self.expect(&TokenKind::LBrace)?;
                 let body = self.parse_stmts_until(&TokenKind::RBrace)?;
                 self.expect(&TokenKind::RBrace)?;
@@ -1679,21 +1794,21 @@ impl Parser {
         Ok(Expr::new(kind, start.merge(self.prev_span())))
     }
 
-    fn parse_array_items(&mut self, end: &TokenKind) -> ParseResult<Vec<ArrayItem>> {
-        let mut items = Vec::new();
+    fn parse_array_items(&mut self, end: &TokenKind) -> ParseResult<Box<[ArrayItem]>> {
+        let items = self.scratch.open();
         while self.peek() != end {
             let by_ref = self.eat(&TokenKind::Amp);
             let first = self.parse_expr()?;
             if self.eat(&TokenKind::DoubleArrow) {
                 let vref = self.eat(&TokenKind::Amp);
                 let value = self.parse_expr()?;
-                items.push(ArrayItem {
+                self.scratch.push(ArrayItem {
                     key: Some(first),
                     value,
                     by_ref: vref,
                 });
             } else {
-                items.push(ArrayItem {
+                self.scratch.push(ArrayItem {
                     key: None,
                     value: first,
                     by_ref,
@@ -1703,7 +1818,7 @@ impl Parser {
                 break;
             }
         }
-        Ok(items)
+        Ok(self.scratch.take(items))
     }
 }
 
@@ -1725,35 +1840,34 @@ fn template_to_expr(mut parts: Vec<StrPart>, span: Span) -> ExprKind {
         };
         return ExprKind::Lit(Lit::Str(s));
     }
-    let exprs = parts
-        .into_iter()
-        .map(|p| match p {
-            StrPart::Lit(s) => Expr::new(ExprKind::Lit(Lit::Str(s)), span),
-            StrPart::Var(n) => Expr::new(ExprKind::Var(n), span),
-            StrPart::Index(n, key) => {
-                let index = match key {
-                    IndexKey::Str(s) => Expr::new(ExprKind::Lit(Lit::Str(s)), span),
-                    IndexKey::Int(i) => Expr::new(ExprKind::Lit(Lit::Int(i)), span),
-                    IndexKey::Var(v) => Expr::new(ExprKind::Var(v), span),
-                };
-                Expr::new(
-                    ExprKind::ArrayDim {
-                        base: Box::new(Expr::new(ExprKind::Var(n), span)),
-                        index: Some(Box::new(index)),
-                    },
-                    span,
-                )
-            }
-            StrPart::Prop(n, p) => Expr::new(
-                ExprKind::Prop {
+    // sized up front: one allocation at the final length
+    let mut exprs = Vec::with_capacity(parts.len());
+    exprs.extend(parts.into_iter().map(|p| match p {
+        StrPart::Lit(s) => Expr::new(ExprKind::Lit(Lit::Str(s)), span),
+        StrPart::Var(n) => Expr::new(ExprKind::Var(n), span),
+        StrPart::Index(n, key) => {
+            let index = match key {
+                IndexKey::Str(s) => Expr::new(ExprKind::Lit(Lit::Str(s)), span),
+                IndexKey::Int(i) => Expr::new(ExprKind::Lit(Lit::Int(i)), span),
+                IndexKey::Var(v) => Expr::new(ExprKind::Var(v), span),
+            };
+            Expr::new(
+                ExprKind::ArrayDim {
                     base: Box::new(Expr::new(ExprKind::Var(n), span)),
-                    name: p,
+                    index: Some(Box::new(index)),
                 },
                 span,
-            ),
-        })
-        .collect();
-    ExprKind::Interp(exprs)
+            )
+        }
+        StrPart::Prop(n, p) => Expr::new(
+            ExprKind::Prop {
+                base: Box::new(Expr::new(ExprKind::Var(n), span)),
+                name: p,
+            },
+            span,
+        ),
+    }));
+    ExprKind::Interp(exprs.into_boxed_slice())
 }
 
 #[cfg(test)]
@@ -2296,6 +2410,40 @@ if (isset($_GET['id'])) {
         let p = parse_ok(src);
         assert!(p.stmts.len() >= 4);
         assert_eq!(p.functions().len(), 1);
+    }
+
+    /// Lists longer than a growing `Vec`'s first capacity (4) still come
+    /// out of the scratch stacks whole and in order.
+    #[test]
+    fn long_lists_round_trip_through_the_printer() {
+        use crate::printer::print_program;
+        let src = r#"<?php
+function f($a, $b) {
+    $s = 0;
+    $s = ($s + 1);
+    $s = ($s + 2);
+    $s = ($s + 3);
+    $s = ($s + 4);
+    $s = ($s + 5);
+    $s = ($s + 6);
+    $s = ($s + 7);
+    return g($a, $b, $s, 'x', array(1, 2));
+}
+"#;
+        let p = parse_ok(src);
+        let StmtKind::Function(f) = &p.stmts[0].kind else {
+            panic!("{:?}", p.stmts[0])
+        };
+        assert_eq!(f.body.len(), 9);
+        let StmtKind::Return(Some(Expr {
+            kind: ExprKind::Call { args, .. },
+            ..
+        })) = &f.body[8].kind
+        else {
+            panic!("{:?}", f.body[8])
+        };
+        assert_eq!(args.len(), 5);
+        assert_eq!(print_program(&p), src);
     }
 }
 

@@ -888,7 +888,7 @@ mod tests {
             assert_eq!(then_branch.len(), 1);
             assert_eq!(elseifs.len(), 1);
             assert_eq!(elseifs[0].0.as_var_name(), Some("b"));
-            assert_eq!(else_branch.as_ref().map(Vec::len), Some(1));
+            assert_eq!(else_branch.as_deref().map(<[_]>::len), Some(1));
         }
     }
 

@@ -223,7 +223,7 @@ fn stmt(rng: &mut StdRng, depth: usize) -> Stmt {
             StmtKind::If {
                 cond: Box::new(cond),
                 then_branch: body,
-                elseifs: vec![],
+                elseifs: Box::default(),
                 else_branch: None,
             },
             sp,

@@ -99,16 +99,29 @@ pub fn analyze(
 ) -> Vec<Candidate> {
     let runtime = Runtime::serial();
     let obs = wap_obs::disabled().job();
-    // one walk per file finds its declarations for both passes
+    // one walk per file finds its declarations and their call targets
+    // for both passes
     let functions: Vec<Vec<&Function>> = files.iter().map(|f| f.program.functions()).collect();
     let functions: Vec<&[&Function]> = functions.iter().map(Vec::as_slice).collect();
+    let refs: Vec<Vec<Vec<Symbol>>> = functions
+        .iter()
+        .map(|funcs| {
+            if options.interprocedural {
+                funcs.iter().map(|func| function_refs(func)).collect()
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
     let inputs: Vec<PassInput<'_>> = files
         .iter()
         .zip(&functions)
-        .map(|(f, funcs)| PassInput {
+        .zip(&refs)
+        .map(|((f, funcs), refs)| PassInput {
             name: f.name.clone(),
             program: Some(&f.program),
             decl_names: funcs.iter().map(|func| func.name.lower()).collect(),
+            decl_refs: refs,
             cached: None,
         })
         .collect();
@@ -181,6 +194,9 @@ impl PassArtifacts {
 /// - `decl_names` lists the lowercased function names the file declares,
 ///   in declaration order — for a parsed file these are the lowercased
 ///   names of its program's [`Program::functions`].
+/// - With interprocedural analysis on, a fresh file's `decl_refs` holds
+///   each of those declarations' [`function_refs`], in the same order.
+///   The pass reads the call graph from it and walks no body for it.
 /// - `program` must be `Some` for every file analyzed fresh
 ///   (`cached == None`). A cached file's program is read only when a
 ///   resolved include inlines it; its summaries come from its artifacts.
@@ -199,6 +215,10 @@ pub struct PassInput<'a> {
     pub program: Option<&'a Program>,
     /// Lowercased declared function names, in declaration order.
     pub decl_names: Vec<Symbol>,
+    /// Each declaration's call targets ([`function_refs`]), parallel to
+    /// `decl_names`; read only for a fresh file with interprocedural
+    /// analysis on.
+    pub decl_refs: &'a [Vec<Symbol>],
     /// Artifacts replayed from the cache, or `None` to analyze fresh.
     pub cached: Option<PassArtifacts>,
 }
@@ -358,37 +378,43 @@ struct Component {
 
 /// Plans phase A from the call graph of the fresh files' canonical
 /// functions, with an edge from each function to every fresh canonical
-/// function its body calls ([`function_refs`]; none when interprocedural
-/// analysis is off). Calls into cached files need no edge: their
-/// summaries are final. Files whose functions reach each other share a
-/// task; tasks come in waves, each task after every task owning one of
-/// its callees, so a task reads only finished summaries of other files.
+/// function its body calls (its [`PassInput::decl_refs`] entry; none when
+/// interprocedural analysis is off). Calls into cached files need no
+/// edge: their summaries are final. Files whose functions reach each
+/// other share a task; tasks come in waves, each task after every task
+/// owning one of its callees, so a task reads only finished summaries of
+/// other files.
 fn plan_phase_a<'a>(
     options: &AnalysisOptions,
     files: &[PassInput<'a>],
     functions: &[&[&'a Function]],
     index: &FnIndex,
-    runtime: &Runtime,
 ) -> (Vec<Decl<'a>>, Vec<Vec<Task>>) {
     // the fresh files' canonical functions with the names they call, in
     // file order, then name order (the order ties break in); a name
     // declared twice in its owning file keeps its first declaration
-    let per_file = runtime.run(files.len(), |i| {
-        let decls = files[i].decl_names.iter().zip(functions[i]);
-        let mut own: Vec<(Decl<'a>, Vec<Symbol>)> = decls
-            .filter(|(name, _)| files[i].cached.is_none() && index.get(*name) == Some(&i))
-            .map(|(name, func)| ((*name, i, *func), Vec::new()))
+    let mut nodes: Vec<Decl<'a>> = Vec::new();
+    let mut refs: Vec<&[Symbol]> = Vec::new();
+    for (i, f) in files.iter().enumerate() {
+        let decls = f.decl_names.iter().zip(functions[i]).enumerate();
+        let mut own: Vec<(Decl<'a>, &[Symbol])> = decls
+            .filter(|(_, (name, _))| f.cached.is_none() && index.get(*name) == Some(&i))
+            .map(|(k, (name, func))| {
+                let calls = if options.interprocedural {
+                    f.decl_refs[k].as_slice()
+                } else {
+                    &[]
+                };
+                ((*name, i, *func), calls)
+            })
             .collect();
         own.sort_by_key(|(d, _)| d.0);
         own.dedup_by_key(|(d, _)| d.0);
-        if options.interprocedural {
-            for ((_, _, func), refs) in &mut own {
-                *refs = function_refs(func);
-            }
+        for (decl, calls) in own {
+            nodes.push(decl);
+            refs.push(calls);
         }
-        own
-    });
-    let (nodes, refs): (Vec<Decl<'a>>, Vec<Vec<Symbol>>) = per_file.into_iter().flatten().unzip();
+    }
     let node_of: HashMap<Symbol, usize> = nodes.iter().enumerate().map(|(v, d)| (d.0, v)).collect();
     let calls: Vec<Vec<usize>> = refs
         .iter()
@@ -501,7 +527,7 @@ pub fn run_pass<'a>(
         summaries.extend(c.summaries.iter().map(|(k, v)| (*k, v.clone())));
     }
     let mut phase_a: Vec<Option<PhaseA>> = files.iter().map(|_| None).collect();
-    let (nodes, waves) = plan_phase_a(options, files, functions, &index, runtime);
+    let (nodes, waves) = plan_phase_a(options, files, functions, &index);
     for wave in waves {
         let done = &summaries;
         let results = runtime.map(wave, |_, task| {
@@ -2839,18 +2865,22 @@ mod tests {
         let lib = parse(r#"<?php function fetch($k) { return $_GET[$k]; }"#).unwrap();
         let helper =
             parse(r#"<?php function wrap($k) { mysql_query("SELECT " . fetch($k)); }"#).unwrap();
+        let lib_refs = [function_refs(lib.functions()[0])];
+        let helper_refs = [function_refs(helper.functions()[0])];
         let pass = |lib_program: Option<&Program>, cached: Option<PassArtifacts>| {
             let files = [
                 PassInput {
                     name: "lib.php".into(),
                     program: lib_program,
                     decl_names: vec![Symbol::intern("fetch")],
+                    decl_refs: &lib_refs,
                     cached,
                 },
                 PassInput {
                     name: "helper.php".into(),
                     program: Some(&helper),
                     decl_names: vec![Symbol::intern("wrap")],
+                    decl_refs: &helper_refs,
                     cached: None,
                 },
             ];
