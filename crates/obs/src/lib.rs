@@ -356,12 +356,13 @@ impl<'a> JobHandle<'a> {
         self.span_inner(phase, None)
     }
 
-    /// Starts a per-file phase span.
+    /// Starts a per-file phase span. The file name is copied only when
+    /// the collector records.
     pub fn span_file(&self, phase: Phase, file: &str) -> SpanGuard<'a> {
-        self.span_inner(phase, Some(file.to_string()))
+        self.span_inner(phase, Some(file))
     }
 
-    fn span_inner(&self, phase: Phase, file: Option<String>) -> SpanGuard<'a> {
+    fn span_inner(&self, phase: Phase, file: Option<&str>) -> SpanGuard<'a> {
         if !self.collector.enabled {
             return SpanGuard { active: None };
         }
@@ -369,7 +370,7 @@ impl<'a> JobHandle<'a> {
             active: Some(ActiveSpan {
                 collector: self.collector,
                 phase,
-                file,
+                file: file.map(str::to_string),
                 job: self.job,
                 start_ns: self.collector.now_ns(),
             }),
@@ -383,16 +384,16 @@ impl<'a> JobHandle<'a> {
 
     /// Records a point-in-time event about one file.
     pub fn event_file(&self, name: &'static str, file: &str) {
-        self.event_inner(name, Some(file.to_string()));
+        self.event_inner(name, Some(file));
     }
 
-    fn event_inner(&self, name: &'static str, file: Option<String>) {
+    fn event_inner(&self, name: &'static str, file: Option<&str>) {
         if !self.collector.enabled {
             return;
         }
         self.collector.push(Record::Event(Event {
             name,
-            file,
+            file: file.map(str::to_string),
             job: self.job,
             at_ns: self.collector.now_ns(),
         }));

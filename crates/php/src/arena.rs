@@ -13,7 +13,7 @@ const STR_CHUNK: usize = 16 * 1024;
 ///
 /// Each chunk is a `String` allocated with a fixed capacity and never grown,
 /// so the heap buffer backing every returned slice is never moved or freed
-/// while the arena lives. The interner keeps its `StrArena` in a
+/// while the arena lives. Each interner shard keeps its `StrArena` in a
 /// process-lifetime static, which is what justifies handing out
 /// `&'static str` there.
 pub struct StrArena {

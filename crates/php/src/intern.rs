@@ -25,24 +25,41 @@
 //!
 //! ## Concurrency
 //!
-//! Interning (the write path) runs under a lock; **resolving** a symbol back
-//! to its string (`as_str`, `lower`) is lock-free. Resolved entries live in
-//! an append-only two-level table: a fixed array of chunk pointers, each
-//! chunk holding `CHUNK_LEN` write-once slots. A slot is fully written —
-//! and its chunk pointer Release-published — before the symbol id ever
-//! escapes `intern`, so any thread that legitimately holds a `Symbol` id
-//! also has a happens-before edge to that slot's contents (via the intern
-//! lock, or via whatever synchronization carried the `Symbol` across
-//! threads). Resolution is therefore a single Acquire pointer load plus an
-//! indexed read — no lock, which matters because the taint loops resolve
-//! symbols millions of times per scan.
+//! **Interning** (the write path) is split over 32 independently
+//! locked shards, each a string → id map with its own [`StrArena`]; a
+//! cheap unkeyed hash of the bytes picks the shard, so threads interning
+//! different strings rarely meet on a lock. Each map keeps std's keyed
+//! SipHash, because the strings come from scanned code, which `wap serve`
+//! accepts from anyone: a crafted vocabulary can at worst crowd one
+//! shard, never degrade a map into collisions. Ids come from one atomic
+//! counter, so they stay dense and `Symbol(0)` is `""`. A string with
+//! ASCII uppercase interns its lowercase form first, with no lock held,
+//! and only then locks its own shard: no thread ever holds two shard
+//! locks.
+//!
+//! **Resolving** a symbol back to its string (`as_str`, `lower`) takes no
+//! lock. Resolved entries live in an append-only two-level table: a fixed
+//! array of chunk pointers, each chunk holding `CHUNK_LEN` write-once
+//! slots. Concurrent interns publish into it at once: a missing chunk is
+//! installed by compare-exchange (the loser frees its copy), and each slot
+//! is written by the one thread that drew its id, before the id is
+//! inserted into its shard's map or returned. Any thread that
+//! legitimately holds a `Symbol` therefore has a happens-before edge to
+//! that slot's contents (via the shard lock, or via whatever
+//! synchronization carried the `Symbol` across threads). Resolution is a
+//! single Acquire pointer load plus an indexed read, which matters
+//! because the taint loops resolve symbols millions of times per scan.
+//!
+//! A single global lock made every intern of every parse thread meet on
+//! one mutex: on a 2-job scan of a 257k-LoC app a profile put 9.5% of the
+//! CPU time in `Symbol::intern`, 1.9% of it waiting for that lock.
 //!
 //! ## Memory
 //!
 //! The table is append-only and process-lifetime: strings are copied once
-//! into a [`StrArena`] and never freed. The
-//! vocabulary of identifiers in scanned code is small and highly repetitive,
-//! so a resident scanner service reuses entries across scans instead of
+//! into a shard's [`StrArena`] and never freed. The vocabulary of
+//! identifiers in scanned code is small and highly repetitive, so a
+//! resident scanner service reuses entries across scans instead of
 //! re-allocating them.
 
 use crate::arena::StrArena;
@@ -50,8 +67,8 @@ use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// An interned string: a 4-byte `Copy` handle with O(1) equality/hash.
 ///
@@ -86,13 +103,18 @@ struct Chunk {
     slots: [UnsafeCell<MaybeUninit<Entry>>; CHUNK_LEN],
 }
 
-// SAFETY: slots are write-once, written strictly before their id escapes
-// the intern lock; see the module-level concurrency notes.
+// SAFETY: slots are write-once, each written by the one thread that drew
+// its id and before that id escapes; see the module-level concurrency
+// notes.
 unsafe impl Sync for Chunk {}
 
 #[allow(clippy::declare_interior_mutable_const)]
 const NULL_CHUNK: AtomicPtr<Chunk> = AtomicPtr::new(std::ptr::null_mut());
 static CHUNKS: [AtomicPtr<Chunk>; MAX_CHUNKS] = [NULL_CHUNK; MAX_CHUNKS];
+
+/// The next id to hand out. Ids are drawn under a shard lock and every
+/// drawn id is published, so the table stays dense.
+static NEXT_ID: AtomicU32 = AtomicU32::new(0);
 
 /// Lock-free resolve: id -> entry. Callable only with ids minted by
 /// `intern` (the only way user code obtains a `Symbol`).
@@ -102,14 +124,15 @@ fn entry(id: u32) -> Entry {
     debug_assert!(!chunk.is_null(), "Symbol id {id} was never interned");
     // SAFETY: `intern` fully wrote this slot and Release-published its
     // chunk before returning the id, and the id reached this thread
-    // through some synchronization (the intern lock or the mechanism that
+    // through some synchronization (a shard lock or the mechanism that
     // transferred the `Symbol` across threads), so the write
     // happens-before this read.
     unsafe { (*(*chunk).slots[id as usize & (CHUNK_LEN - 1)].get()).assume_init() }
 }
 
-/// Write-once slot publication. Must be called under the intern lock (it
-/// is the only writer), with ids assigned densely from 0.
+/// Write-once slot publication. Must be called exactly once per id, by
+/// the thread that drew the id from [`NEXT_ID`], before the id escapes.
+/// Other threads may publish other ids concurrently.
 fn publish(id: u32, e: Entry) {
     let chunk_idx = (id >> CHUNK_BITS) as usize;
     assert!(
@@ -122,11 +145,24 @@ fn publish(id: u32, e: Entry) {
         // SAFETY: every slot is `MaybeUninit`, so an uninitialized chunk
         // is a valid value of the type.
         let fresh: Box<Chunk> = unsafe { Box::new(MaybeUninit::uninit().assume_init()) };
-        chunk = Box::into_raw(fresh);
-        CHUNKS[chunk_idx].store(chunk, Ordering::Release);
+        let fresh = Box::into_raw(fresh);
+        chunk = match CHUNKS[chunk_idx].compare_exchange(
+            std::ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => fresh,
+            Err(installed) => {
+                // SAFETY: `fresh` came from `Box::into_raw` above and lost
+                // the race, so no other thread ever saw it.
+                drop(unsafe { Box::from_raw(fresh) });
+                installed
+            }
+        };
     }
-    // SAFETY: single writer (intern lock held), and no reader touches slot
-    // `id` until `intern` returns the id.
+    // SAFETY: this thread drew `id`, so it is the slot's only writer, and
+    // no reader touches slot `id` until the id escapes `intern`.
     unsafe {
         (*chunk).slots[id as usize & (CHUNK_LEN - 1)]
             .get()
@@ -134,44 +170,27 @@ fn publish(id: u32, e: Entry) {
     }
 }
 
-struct Inner {
+/// Number of independently locked interner shards (a power of two:
+/// [`shard_of`] takes the top bits of a hash).
+const SHARDS: usize = 32;
+const _: () = assert!(SHARDS.is_power_of_two());
+
+/// One shard of the intern table: the strings whose bytes hash to it.
+struct Shard {
     map: HashMap<&'static str, u32>,
-    len: u32,
     arena: StrArena,
 }
 
-impl Inner {
-    fn new() -> Self {
-        let mut inner = Inner {
-            map: HashMap::with_capacity(1024),
-            len: 0,
-            arena: StrArena::new(),
-        };
-        // Symbol(0) is the empty string (and `Symbol::default()`).
-        inner.intern("");
-        inner
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        // Intern the lowercase form first: slots are write-once, so the
-        // new entry must embed its lowered id up front. (This orders ids
-        // differently from insertion order of mixed-case strings, which is
-        // fine — ids never influence output or cache bytes.)
-        let lower = if s.bytes().any(|b| b.is_ascii_uppercase()) {
-            Some(self.intern(&s.to_ascii_lowercase()))
-        } else {
-            None
-        };
+impl Shard {
+    /// Inserts `s`, which this shard does not hold yet, under a fresh id
+    /// whose entry records `lower` (or the new id itself when `None`).
+    fn insert(&mut self, s: &str, lower: Option<u32>) -> u32 {
         // SAFETY: the arena lives inside a process-lifetime static and its
         // chunk buffers are never moved or freed, so extending the borrow
         // to 'static is sound.
         let stable: &'static str =
             unsafe { std::mem::transmute::<&str, &'static str>(self.arena.alloc(s)) };
-        let id = self.len;
-        self.len += 1;
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         publish(
             id,
             Entry {
@@ -184,16 +203,72 @@ impl Inner {
     }
 }
 
-fn table() -> &'static Mutex<Inner> {
-    static TABLE: OnceLock<Mutex<Inner>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(Inner::new()))
+/// A shard's lock, alone on its cache lines so neighbouring shards'
+/// lock words never share one.
+#[repr(align(128))]
+struct PaddedShard(Mutex<Shard>);
+
+fn shards() -> &'static [PaddedShard; SHARDS] {
+    static TABLE: OnceLock<[PaddedShard; SHARDS]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let table: [PaddedShard; SHARDS] = std::array::from_fn(|_| {
+            PaddedShard(Mutex::new(Shard {
+                map: HashMap::with_capacity(64),
+                arena: StrArena::new(),
+            }))
+        });
+        // Symbol(0) is the empty string (and `Symbol::default()`): no
+        // other intern can draw an id before this initializer returns.
+        let mut empty = lock(&table[shard_of("")]);
+        let id = empty.insert("", None);
+        debug_assert_eq!(id, 0);
+        drop(empty);
+        table
+    })
+}
+
+/// Locks a shard. Every update leaves the shard valid (the map gains an
+/// entry only after its slot is published), so a guard poisoned by a
+/// panicking thread is still sound to use.
+fn lock(shard: &PaddedShard) -> MutexGuard<'_, Shard> {
+    shard.0.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The shard `s` belongs to: an unkeyed multiplicative hash of its bytes.
+/// It only spreads lock traffic; the shard's map does the keyed hashing.
+#[inline]
+fn shard_of(s: &str) -> usize {
+    let mut h: u32 = s.len() as u32;
+    for &b in s.as_bytes() {
+        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+    }
+    (h.wrapping_mul(0x9E37_79B9) >> (32 - SHARDS.trailing_zeros())) as usize
 }
 
 impl Symbol {
     /// Interns `s`, returning the canonical symbol for it.
     pub fn intern(s: &str) -> Symbol {
-        let mut inner = table().lock().unwrap_or_else(|e| e.into_inner());
-        Symbol(inner.intern(s))
+        let shard = &shards()[shard_of(s)];
+        let mut guard = lock(shard);
+        if let Some(&id) = guard.map.get(s) {
+            return Symbol(id);
+        }
+        if !s.bytes().any(|b| b.is_ascii_uppercase()) {
+            return Symbol(guard.insert(s, None));
+        }
+        // Slots are write-once, so the new entry must embed its lowered id
+        // up front. Intern the lowercase form with this shard unlocked (it
+        // may live in any shard), then look again: another thread may have
+        // interned `s` meanwhile. (Ids of mixed-case strings thus follow
+        // their lowercase forms, which is fine — ids never influence output
+        // or cache bytes.)
+        drop(guard);
+        let lower = Symbol::intern(&s.to_ascii_lowercase()).0;
+        let mut guard = lock(shard);
+        if let Some(&id) = guard.map.get(s) {
+            return Symbol(id);
+        }
+        Symbol(guard.insert(s, Some(lower)))
     }
 
     /// The empty-string symbol.
@@ -386,19 +461,57 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_intern_same_ids() {
-        let names: Vec<String> = (0..200).map(|i| format!("conc_sym_{i}")).collect();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let names = names.clone();
-                std::thread::spawn(move || {
-                    names.iter().map(|n| Symbol::intern(n)).collect::<Vec<_>>()
-                })
+    fn concurrent_mixed_case_interns_agree_across_a_chunk_boundary() {
+        // More fresh strings than one chunk holds, in three casings, so
+        // the threads draw ids across at least one chunk boundary and race
+        // to install the chunk; every mixed-case string also interns its
+        // lowercase form, which another thread may be interning at once.
+        const THREADS: usize = 6;
+        let words: Vec<String> = (0..CHUNK_LEN + 512)
+            .flat_map(|i| {
+                let w = format!("shard_race_{i}_word");
+                [
+                    w.to_ascii_uppercase(),
+                    w.clone(),
+                    format!("Shard_Race_{i}_Word"),
+                ]
             })
             .collect();
-        let results: Vec<Vec<Symbol>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for w in results.windows(2) {
-            assert_eq!(w[0], w[1], "same strings must intern to same symbols");
+        let start = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<Vec<Symbol>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (words, start) = (&words, &start);
+                    scope.spawn(move || {
+                        // each thread walks the vocabulary from its own
+                        // offset, so they overlap on every string
+                        let offset = t * words.len() / THREADS;
+                        start.wait();
+                        let mut ids = vec![Symbol::empty(); words.len()];
+                        for k in 0..words.len() {
+                            let i = (offset + k) % words.len();
+                            ids[i] = Symbol::intern(&words[i]);
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ids in &per_thread[1..] {
+            assert!(ids == &per_thread[0], "threads disagree on an id");
         }
+        for (word, sym) in words.iter().zip(&per_thread[0]) {
+            assert_eq!(sym.as_str(), word);
+            assert_eq!(sym.lower().as_str(), word.to_ascii_lowercase());
+            assert_eq!(sym.lower(), Symbol::intern(&word.to_ascii_lowercase()));
+        }
+        let distinct: std::collections::HashSet<Symbol> = per_thread[0].iter().copied().collect();
+        assert_eq!(distinct.len(), words.len(), "distinct strings share an id");
+        let top = per_thread[0].iter().map(|s| s.index()).max().unwrap_or(0);
+        assert!(
+            top as usize >= CHUNK_LEN,
+            "the vocabulary stayed in one chunk"
+        );
     }
 }

@@ -11,12 +11,14 @@
 //! **not** stop taint — that is exactly what produces the false positives
 //! the data-mining predictor exists to catch (§II).
 
+use crate::calls::{CallInfo, CallTable};
 use crate::finding::Candidate;
 use crate::scc::strongly_connected;
 use crate::state::{TaintState, TaintStep};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use wap_catalog::{Catalog, SinkArgs, SinkKind, VulnClass};
+use std::sync::Arc;
+use wap_catalog::{Catalog, SinkArgs, VulnClass};
 use wap_obs::Phase;
 use wap_php::ast::*;
 use wap_php::fingerprint::fields_hash;
@@ -154,7 +156,7 @@ pub fn analyze(
 /// file canonically owns, the candidates found inside function bodies, and
 /// the literal-tracking state the same file's phase-B task resumes from.
 struct PhaseA {
-    summaries: HashMap<Symbol, FnSummary>,
+    summaries: Summaries,
     candidates: Vec<Candidate>,
     state: CarriedState,
     store_seen: bool,
@@ -167,7 +169,7 @@ struct PhaseA {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PassArtifacts {
     /// Summaries of the functions this file canonically declares.
-    pub(crate) summaries: HashMap<Symbol, FnSummary>,
+    pub(crate) summaries: Summaries,
     /// Candidates reported while summarizing function bodies (phase A).
     pub(crate) a_candidates: Vec<Candidate>,
     /// Candidates reported by the top-level flow (phase B).
@@ -511,6 +513,7 @@ pub fn run_pass<'a>(
     obs: wap_obs::JobHandle<'_>,
 ) -> PassOutcome {
     let index = build_fn_index(files);
+    let calls = CallTable::new(catalog);
     let programs_by_name: HashMap<&str, &Program> = files
         .iter()
         .filter_map(|f| f.program.map(|p| (f.name.as_str(), p)))
@@ -522,9 +525,9 @@ pub fn run_pass<'a>(
 
     // Phase A, wave by wave; every wave reads the summaries replayed from
     // the cache and those of the waves before it.
-    let mut summaries: HashMap<Symbol, FnSummary> = HashMap::new();
+    let mut summaries: Summaries = HashMap::new();
     for c in files.iter().filter_map(|f| f.cached.as_ref()) {
-        summaries.extend(c.summaries.iter().map(|(k, v)| (*k, v.clone())));
+        summaries.extend(c.summaries.iter().map(|(k, v)| (*k, Arc::clone(v))));
     }
     let mut phase_a: Vec<Option<PhaseA>> = files.iter().map(|_| None).collect();
     let (nodes, waves) = plan_phase_a(options, files, functions, &index);
@@ -541,6 +544,7 @@ pub fn run_pass<'a>(
                 let program = f.program.expect("fresh file must be parsed");
                 let engine = Engine::for_file(
                     catalog,
+                    &calls,
                     options,
                     &index,
                     &f.name,
@@ -556,7 +560,7 @@ pub fn run_pass<'a>(
         });
         let _merge = obs.span(Phase::SummaryMerge);
         for (i, pa) in results.into_iter().flatten() {
-            summaries.extend(pa.summaries.iter().map(|(k, v)| (*k, v.clone())));
+            summaries.extend(pa.summaries.iter().map(|(k, v)| (*k, Arc::clone(v))));
             phase_a[i] = Some(pa);
         }
     }
@@ -574,6 +578,7 @@ pub fn run_pass<'a>(
         let program = f.program.expect("fresh file must be parsed");
         let mut engine = Engine::for_file(
             catalog,
+            &calls,
             options,
             &index,
             &f.name,
@@ -625,9 +630,9 @@ fn summarize_task<'a>(
     index: &FnIndex,
 ) -> Vec<(usize, PhaseA)> {
     // the task's summaries, lent to whichever engine walks next
-    let mut work: HashMap<Symbol, FnSummary> = HashMap::new();
+    let mut work: Summaries = HashMap::new();
     let walk = |engines: &mut [(usize, Engine<'a>)],
-                work: &mut HashMap<Symbol, FnSummary>,
+                work: &mut Summaries,
                 (name, owner, func): Decl<'a>| {
         let (_, engine) = engines
             .iter_mut()
@@ -658,7 +663,7 @@ fn summarize_task<'a>(
                 let name = nodes[v].0;
                 let summary = walk(&mut engines, &mut work, nodes[v]);
                 if !work.get(&name).is_some_and(|s| s.same_flows(&summary)) {
-                    work.insert(name, summary);
+                    work.insert(name, Arc::new(summary));
                     changed = true;
                 }
             }
@@ -764,6 +769,11 @@ pub(crate) struct ParamSink {
     pub(crate) inner_steps: Vec<TaintStep>,
 }
 
+/// Function summaries by lowercased name, each shared (not copied)
+/// between a file's artifacts, the pass's merged map and the engines
+/// reading it.
+pub(crate) type Summaries = HashMap<Symbol, Arc<FnSummary>>;
+
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FnSummary {
     pub(crate) ret_from_params: Vec<ParamFlow>,
@@ -817,6 +827,8 @@ struct CarriedState {
 
 struct Engine<'a> {
     catalog: &'a Catalog,
+    /// The pass's classification of callees and entry variables.
+    calls: &'a CallTable,
     options: &'a AnalysisOptions,
     /// The analyzed file's parsed program.
     program: &'a Program,
@@ -825,10 +837,10 @@ struct Engine<'a> {
     functions: &'a FnIndex,
     /// Summaries the running phase-A task has derived so far; empty in
     /// phase B.
-    summaries: HashMap<Symbol, FnSummary>,
+    summaries: Summaries,
     /// Finished summaries (read-only, shared across tasks): in phase A
     /// those of cached files and earlier waves, in phase B all of them.
-    shared: &'a HashMap<Symbol, FnSummary>,
+    shared: &'a Summaries,
     candidates: Vec<Candidate>,
     current_file: String,
     /// Return-taint accumulator for the function currently being summarized.
@@ -860,17 +872,19 @@ impl<'a> Engine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn for_file(
         catalog: &'a Catalog,
+        calls: &'a CallTable,
         options: &'a AnalysisOptions,
         functions: &'a FnIndex,
         name: &str,
         program: &'a Program,
-        shared: &'a HashMap<Symbol, FnSummary>,
+        shared: &'a Summaries,
         resolve: Option<ResolveCtx<'a>>,
         fetch_is_tainted: bool,
         state: CarriedState,
     ) -> Self {
         Engine {
             catalog,
+            calls,
             options,
             program,
             functions,
@@ -891,7 +905,7 @@ impl<'a> Engine<'a> {
 
     /// Tears a phase-A engine down into what the pass aggregator needs,
     /// with `summaries`, those of the functions this file owns.
-    fn into_phase_a(self, summaries: HashMap<Symbol, FnSummary>) -> PhaseA {
+    fn into_phase_a(self, summaries: Summaries) -> PhaseA {
         PhaseA {
             summaries,
             candidates: self.candidates,
@@ -1054,10 +1068,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The summary of user function `name`. Callees are summarized before
-    /// their callers, so this is a lookup; only a member of the recursion
-    /// being walked may not have one yet, which applies as "no flows".
-    fn summary(&self, name: Symbol) -> FnSummary {
+    /// The summary of user function `name`, shared with the map it came
+    /// from. Callees are summarized before their callers, so this is a
+    /// lookup; only a member of the recursion being walked may not have
+    /// one yet, which applies as "no flows".
+    fn summary(&self, name: Symbol) -> Arc<FnSummary> {
         let lname = name.lower();
         self.summaries
             .get(&lname)
@@ -1108,9 +1123,7 @@ impl<'a> AbstractWalk<'a> for Engine<'a> {
     fn eval(&mut self, env: &mut Env, expr: &'a Expr) -> TaintState {
         match &expr.kind {
             ExprKind::Var(n) => {
-                if self.catalog.is_entry_superglobal(n.as_str())
-                    || self.catalog.is_entry_variable(n.as_str())
-                {
+                if self.calls.is_entry_var(*n) {
                     TaintState::source(format!("${n}"), expr.span)
                 } else if let Some(t) = env.get(n) {
                     t.clone()
@@ -1140,7 +1153,7 @@ impl<'a> AbstractWalk<'a> for Engine<'a> {
             ExprKind::ArrayDim { base, index } => {
                 // superglobal element: the canonical entry point
                 if let ExprKind::Var(n) = &base.kind {
-                    if self.catalog.is_entry_superglobal(n.as_str()) {
+                    if self.calls.is_entry_superglobal(*n) {
                         let key = index
                             .as_deref()
                             .and_then(|i| i.as_str_lit().map(str::to_string))
@@ -1540,14 +1553,15 @@ impl<'a> Engine<'a> {
             }
             return TaintState::Clean;
         }
+        let call = self.calls.call(display_name);
         // 0b. second-order pass: database fetch results are stored data
-        if self.fetch_is_tainted && is_fetch_function(display_name.as_str()) {
+        if self.fetch_is_tainted && call.fetch {
             return TaintState::source(STORED_DATA_SOURCE, span);
         }
 
         // 0c. decoders revoke sanitization: stripslashes() undoes
         // addslashes(), urldecode() re-introduces encoded payloads
-        if is_desanitizer(display_name.as_str()) {
+        if call.desanitizer {
             let t = join_all(arg_taints);
             if let TaintState::Tainted(mut info) = t {
                 std::sync::Arc::make_mut(&mut info).sanitized.clear();
@@ -1558,17 +1572,16 @@ impl<'a> Engine<'a> {
         }
 
         // 1. sensitive sink?
-        self.check_function_sink(display_name.as_str(), args, arg_taints, span);
+        self.check_function_sink(call, display_name.as_str(), args, arg_taints, span);
 
         // 2. sanitizer?
-        let sanitized_classes = self.catalog.sanitized_classes(display_name.as_str());
-        if !sanitized_classes.is_empty() {
+        if !call.sanitized.is_empty() {
             let t = join_all(arg_taints);
-            return t.sanitize(&sanitized_classes, display_name.as_str(), span);
+            return t.sanitize(&call.sanitized, display_name.as_str(), span);
         }
 
         // 3. entry-point function (weapon-provided)?
-        if self.catalog.is_entry_function(display_name.as_str()) {
+        if call.entry_function {
             return TaintState::source(format!("{display_name}()"), span);
         }
 
@@ -1578,7 +1591,7 @@ impl<'a> Engine<'a> {
         }
 
         // 5. known clean-returning builtin?
-        if returns_clean(display_name.as_str()) {
+        if call.returns_clean {
             return TaintState::Clean;
         }
 
@@ -1661,18 +1674,18 @@ impl<'a> Engine<'a> {
         let arg_taints: Vec<TaintState> = args.iter().map(|a| self.eval(env, a)).collect();
         let receiver = target.root_var();
 
+        let call = self.calls.call(method);
         // second-order pass: $result->fetch_assoc() returns stored data
-        if self.fetch_is_tainted && is_fetch_function(method.as_str()) {
+        if self.fetch_is_tainted && call.fetch {
             return TaintState::source(STORED_DATA_SOURCE, span);
         }
 
         // 1. method sink?
-        self.check_method_sink(method.as_str(), receiver, args, &arg_taints, span);
+        self.check_method_sink(call, method, receiver, args, &arg_taints, span);
 
         // 2. sanitizer method (e.g. $wpdb->prepare, $db->escape)?
-        let sanitized_classes = self.catalog.sanitized_classes(method.as_str());
-        if !sanitized_classes.is_empty() {
-            return join_all(&arg_taints).sanitize(&sanitized_classes, method.as_str(), span);
+        if !call.sanitized.is_empty() {
+            return join_all(&arg_taints).sanitize(&call.sanitized, method.as_str(), span);
         }
 
         // 3. user-defined method (by name, class-insensitive)?
@@ -1690,58 +1703,35 @@ impl<'a> Engine<'a> {
 
     fn check_function_sink(
         &mut self,
+        call: &CallInfo,
         name: &str,
         args: &'a [Expr],
         arg_taints: &[TaintState],
         span: Span,
     ) {
-        let specs: Vec<(VulnClass, SinkArgs)> = self
-            .catalog
-            .sinks()
-            .filter_map(|s| match &s.kind {
-                SinkKind::Function(f) if f.eq_ignore_ascii_case(name) => {
-                    Some((s.class.clone(), s.args.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        for (class, policy) in specs {
-            self.record_if_tainted(&class, name, args, arg_taints, &policy, span);
+        for (class, policy) in &call.sinks {
+            self.record_if_tainted(class, name, args, arg_taints, policy, span);
         }
     }
 
     fn check_method_sink(
         &mut self,
-        method: &str,
+        call: &CallInfo,
+        method: Symbol,
         receiver: Option<&str>,
         args: &'a [Expr],
         arg_taints: &[TaintState],
         span: Span,
     ) {
-        let specs: Vec<(VulnClass, SinkArgs)> = self
-            .catalog
-            .sinks()
-            .filter_map(|s| match &s.kind {
-                SinkKind::Method {
-                    receiver_hint,
-                    name,
-                } if name.eq_ignore_ascii_case(method) => {
-                    let receiver_ok = match (receiver_hint, receiver) {
-                        (None, _) => true,
-                        (Some(h), Some(r)) => h.eq_ignore_ascii_case(r),
-                        (Some(_), None) => false,
-                    };
-                    receiver_ok.then(|| (s.class.clone(), s.args.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        let display = match receiver {
-            Some(r) => format!("${r}->{method}"),
-            None => format!("->{method}"),
-        };
-        for (class, policy) in specs {
-            self.record_if_tainted(&class, &display, args, arg_taints, &policy, span);
+        // the sink's display name is only spelled out for a call that
+        // reaches one
+        let mut display = None;
+        for sink in call.method_sinks.iter().filter(|s| s.accepts(receiver)) {
+            let display = display.get_or_insert_with(|| match receiver {
+                Some(r) => format!("${r}->{method}"),
+                None => format!("->{method}"),
+            });
+            self.record_if_tainted(&sink.class, display, args, arg_taints, &sink.args, span);
         }
     }
 
@@ -1827,11 +1817,7 @@ impl<'a> Engine<'a> {
     }
 
     fn check_echo_sink(&mut self, sink: &str, arg: &'a Expr, taint: &TaintState, span: Span) {
-        let has_echo_sink = self
-            .catalog
-            .sinks()
-            .any(|s| matches!(s.kind, SinkKind::EchoLike));
-        if !has_echo_sink {
+        if !self.calls.echo_sink {
             return;
         }
         let stored = taint
@@ -1886,13 +1872,7 @@ impl<'a> Engine<'a> {
     }
 
     fn check_include_sink(&mut self, path_expr: &'a Expr, taint: &TaintState, span: Span) {
-        let include_classes: Vec<VulnClass> = self
-            .catalog
-            .sinks()
-            .filter(|s| matches!(s.kind, SinkKind::Include))
-            .map(|s| s.class.clone())
-            .collect();
-        if include_classes.is_empty() {
+        if !self.calls.include_sink {
             return;
         }
         let literals = collect_literals(path_expr);
@@ -2000,21 +1980,6 @@ fn wrappable_value_span(value: &Expr) -> Option<Span> {
     }
 }
 
-/// Functions that *revoke* prior sanitization: decoding or un-escaping a
-/// sanitized string brings the payload back.
-fn is_desanitizer(name: &str) -> bool {
-    matches!(
-        name.to_ascii_lowercase().as_str(),
-        "stripslashes"
-            | "stripcslashes"
-            | "urldecode"
-            | "rawurldecode"
-            | "html_entity_decode"
-            | "htmlspecialchars_decode"
-            | "base64_decode"
-    )
-}
-
 /// Environment marker set by `extract()` on tainted input.
 const EXTRACT_ALL: &str = "@extract_all";
 
@@ -2035,29 +2000,6 @@ fn stored_data_source() -> Symbol {
 /// real callee (the value analysis resolves it like a variable call).
 fn is_call_user_func(name: &str) -> bool {
     name.eq_ignore_ascii_case("call_user_func") || name.eq_ignore_ascii_case("call_user_func_array")
-}
-
-/// Database result-fetch functions/methods for the second-order pass.
-fn is_fetch_function(name: &str) -> bool {
-    matches!(
-        name.to_ascii_lowercase().as_str(),
-        "mysql_fetch_assoc"
-            | "mysql_fetch_array"
-            | "mysql_fetch_row"
-            | "mysql_fetch_object"
-            | "mysql_result"
-            | "mysqli_fetch_assoc"
-            | "mysqli_fetch_array"
-            | "mysqli_fetch_row"
-            | "mysqli_fetch_object"
-            | "pg_fetch_assoc"
-            | "pg_fetch_array"
-            | "pg_fetch_row"
-            | "fetch_assoc"
-            | "fetch_array"
-            | "fetch_row"
-            | "fetch_object"
-    )
 }
 
 /// Display name for an assignment target, e.g. `$q` or `$row['k']`.
@@ -2175,78 +2117,6 @@ fn absorb_literal(t: TaintState, e: &Expr) -> TaintState {
     } else {
         t
     }
-}
-
-/// PHP builtins whose return value cannot carry an injection payload
-/// (numbers, booleans, hashes). Validation functions deliberately appear
-/// here as *symptoms*, not sanitizers — calling `preg_match($re, $x)`
-/// returns a clean int, but `$x` itself stays tainted.
-fn returns_clean(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    if lower.starts_with("is_") || lower.starts_with("ctype_") {
-        return true;
-    }
-    matches!(
-        lower.as_str(),
-        "count"
-            | "sizeof"
-            | "strlen"
-            | "abs"
-            | "floor"
-            | "ceil"
-            | "round"
-            | "time"
-            | "mktime"
-            | "strtotime"
-            | "checkdate"
-            | "rand"
-            | "mt_rand"
-            | "random_int"
-            | "intval"
-            | "floatval"
-            | "doubleval"
-            | "boolval"
-            | "md5"
-            | "sha1"
-            | "crc32"
-            | "hash"
-            | "bin2hex"
-            | "dechex"
-            | "hexdec"
-            | "ord"
-            | "preg_match"
-            | "preg_match_all"
-            | "strcmp"
-            | "strncmp"
-            | "strcasecmp"
-            | "strncasecmp"
-            | "strnatcmp"
-            | "strpos"
-            | "stripos"
-            | "strrpos"
-            | "in_array"
-            | "array_key_exists"
-            | "uniqid"
-            | "number_format"
-            | "filter_var"
-            | "mysql_num_rows"
-            | "mysqli_num_rows"
-            | "mysql_affected_rows"
-            | "mysql_insert_id"
-            | "error_log"
-            | "error_reporting"
-            | "header_sent"
-            | "headers_sent"
-            | "session_start"
-            | "ob_start"
-            | "define"
-            | "defined"
-            | "function_exists"
-            | "class_exists"
-            | "file_exists"
-            | "is_dir"
-            | "is_file"
-    )
 }
 
 #[cfg(test)]
@@ -2542,6 +2412,20 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].class, VulnClass::Custom("WPSQLI".into()));
         assert!(found[0].sink.contains("wpdb"));
+    }
+
+    #[test]
+    fn a_weapon_linked_between_two_scans_is_seen_by_the_second() {
+        let src = r#"<?php
+            $id = Get_Query_Var('id');
+            $WPDB->Query("SELECT * FROM posts WHERE id = $id");"#;
+        let mut c = Catalog::wape();
+        assert!(run_with(&c, src).is_empty());
+        c.add_weapon(WeaponConfig::wpsqli());
+        let found = run_with(&c, src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].sink, "$WPDB->Query");
+        assert_eq!(found[0].sources, vec!["Get_Query_Var()".to_string()]);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+mod calls;
 pub mod engine;
 pub mod finding;
 pub mod scc;

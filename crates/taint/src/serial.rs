@@ -15,6 +15,7 @@ use crate::engine::{FnSummary, ParamFlow, ParamSink, PassArtifacts};
 use crate::finding::Candidate;
 use crate::state::{TaintInfo, TaintState, TaintStep};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use wap_cache::{CodecError, Reader, Writer};
 use wap_catalog::VulnClass;
 use wap_php::{Span, Symbol};
@@ -358,7 +359,7 @@ impl PassArtifacts {
         for _ in 0..n {
             let name = r.str()?;
             let summary = read_summary(&mut r)?;
-            summaries.insert(Symbol::intern(&name), summary);
+            summaries.insert(Symbol::intern(&name), Arc::new(summary));
         }
         let a_candidates = read_candidates(&mut r)?;
         let b_candidates = read_candidates(&mut r)?;
@@ -427,8 +428,8 @@ mod tests {
             }],
         };
         let mut summaries = HashMap::new();
-        summaries.insert("render".into(), summary);
-        summaries.insert("helper".into(), FnSummary::default());
+        summaries.insert("render".into(), Arc::new(summary));
+        summaries.insert("helper".into(), Arc::default());
         PassArtifacts {
             summaries,
             a_candidates: vec![sample_candidate()],

@@ -159,13 +159,13 @@ impl TaintState {
     }
 
     /// Records that `sanitizer` was applied, neutralizing `classes`.
-    pub fn sanitize(&self, classes: &[&VulnClass], sanitizer: &str, span: Span) -> TaintState {
+    pub fn sanitize(&self, classes: &[VulnClass], sanitizer: &str, span: Span) -> TaintState {
         match self {
             TaintState::Clean => TaintState::Clean,
             TaintState::Tainted(info) => {
                 let mut info = TaintInfo::clone(info);
                 for c in classes {
-                    info.sanitized.insert((*c).clone());
+                    info.sanitized.insert(c.clone());
                 }
                 info.push_step(TaintStep::new(format!("sanitized by {sanitizer}()"), span));
                 TaintState::Tainted(Arc::new(info))
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn sanitize_is_class_specific() {
         let t = TaintState::source("$_GET['id']", sp());
-        let s = t.sanitize(&[&VulnClass::Sqli], "mysql_real_escape_string", sp());
+        let s = t.sanitize(&[VulnClass::Sqli], "mysql_real_escape_string", sp());
         assert!(!s.is_tainted_for(&VulnClass::Sqli));
         assert!(s.is_tainted_for(&VulnClass::XssReflected));
         assert!(
@@ -245,14 +245,14 @@ mod tests {
 
     #[test]
     fn join_unions_sources_and_intersects_sanitization() {
-        let a = TaintState::source("$_GET['a']", sp()).sanitize(&[&VulnClass::Sqli], "s", sp());
+        let a = TaintState::source("$_GET['a']", sp()).sanitize(&[VulnClass::Sqli], "s", sp());
         let b = TaintState::source("$_POST['b']", sp());
         let j = a.join(&b);
         // b was never sanitized, so the joint value is dangerous for SQLI
         assert!(j.is_tainted_for(&VulnClass::Sqli));
         assert_eq!(j.info().unwrap().sources.len(), 2);
 
-        let both_sanitized = a.join(&b.sanitize(&[&VulnClass::Sqli], "s", sp()));
+        let both_sanitized = a.join(&b.sanitize(&[VulnClass::Sqli], "s", sp()));
         assert!(!both_sanitized.is_tainted_for(&VulnClass::Sqli));
     }
 
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn join_is_commutative_for_danger() {
-        let a = TaintState::source("$_GET['a']", sp()).sanitize(&[&VulnClass::Sqli], "s", sp());
+        let a = TaintState::source("$_GET['a']", sp()).sanitize(&[VulnClass::Sqli], "s", sp());
         let b = TaintState::source("$_POST['b']", sp());
         for class in [VulnClass::Sqli, VulnClass::XssReflected] {
             assert_eq!(
