@@ -31,6 +31,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use wap_cache::{CacheStatsSnapshot, CacheStore, CacheTier, CodecError, Reader, Writer};
+use wap_cfg::values::{Piece, ValueSummary};
 use wap_mining::{collect, intern_symptom_name, FeatureVector, Prediction};
 use wap_php::ast::Function;
 use wap_php::fingerprint::fields_hash;
@@ -45,8 +46,7 @@ use wap_taint::{
 use wap_obs::{JobHandle, Phase};
 
 use crate::pipeline::{
-    elapsed_ns, refine_with_values, scan_stats, AppReport, Finding, ScanArtifacts, ScanOptions,
-    WapTool,
+    elapsed_ns, refine_with_values, scan_stats, AppReport, Finding, LintRules, ScanOptions, WapTool,
 };
 
 /// Bumped whenever key derivation or any payload layout in this module
@@ -63,7 +63,7 @@ const TOOL_VERSION_KEY: &str = wap_report::TOOL_VERSION;
 /// Peer-served hits are labeled distinctly so fleet traces show which
 /// warmth came over the wire; the probe sites themselves stay
 /// backend-agnostic — they never learn what storage answered.
-pub(crate) fn hit_event(tier: CacheTier) -> &'static str {
+fn hit_event(tier: CacheTier) -> &'static str {
     match tier {
         CacheTier::Remote => "remote_cache_hit",
         CacheTier::Memory | CacheTier::Local => "cache_hit",
@@ -111,7 +111,7 @@ fn findings_key(
 /// seed, analysis options, and whether this scan runs value analysis.
 /// Any difference must yield disjoint keys. Lint packs are not part of
 /// it: they key only the `cfg` entries ([`cfg_lint_key`]).
-pub(crate) fn config_fingerprint(tool: &WapTool, options: &ScanOptions) -> String {
+fn config_fingerprint(tool: &WapTool, options: &ScanOptions) -> String {
     let base = [
         tool.catalog.fingerprint_material(),
         format!("{:?}", tool.config.generation),
@@ -137,7 +137,7 @@ pub(crate) fn config_fingerprint(tool: &WapTool, options: &ScanOptions) -> Strin
 /// joins the key only when rule packs are active, so installing or
 /// upgrading a pack re-keys exactly the `cfg` entries while pack-less
 /// keys stay byte-identical to the historical scheme.
-pub(crate) fn cfg_lint_key(file: &str, hash: &str, config_fp: &str, rules_fp: &str) -> String {
+fn cfg_lint_key(file: &str, hash: &str, config_fp: &str, rules_fp: &str) -> String {
     if rules_fp.is_empty() {
         fields_hash(["cfg", CACHE_SCHEMA, TOOL_VERSION_KEY, file, hash, config_fp])
     } else {
@@ -153,7 +153,7 @@ pub(crate) fn cfg_lint_key(file: &str, hash: &str, config_fp: &str, rules_fp: &s
     }
 }
 
-pub(crate) fn encode_lint(findings: &[wap_cfg::LintFinding]) -> Vec<u8> {
+fn encode_lint(findings: &[wap_cfg::LintFinding]) -> Vec<u8> {
     let mut w = Writer::new();
     w.seq(findings.len());
     for f in findings {
@@ -169,7 +169,7 @@ pub(crate) fn encode_lint(findings: &[wap_cfg::LintFinding]) -> Vec<u8> {
     w.into_bytes()
 }
 
-pub(crate) fn decode_lint(bytes: &[u8]) -> Result<Vec<wap_cfg::LintFinding>, CodecError> {
+fn decode_lint(bytes: &[u8]) -> Result<Vec<wap_cfg::LintFinding>, CodecError> {
     let mut r = Reader::new(bytes);
     let n = r.seq()?;
     let mut out = Vec::with_capacity(n);
@@ -211,10 +211,12 @@ pub(crate) fn decode_lint(bytes: &[u8]) -> Result<Vec<wap_cfg::LintFinding>, Cod
 /// configuration. A dynamic call reads the summary of a target chosen by
 /// *value*, which no key field covers: the payload carries the digest of
 /// those targets' closure instead ([`DeclIndex::calls_digest`]), checked
-/// on every hit.
+/// on every hit. The payload also carries the file's own function value
+/// summaries, so a warm scan merges every file's summaries without
+/// parsing the files whose entries hit.
 fn values_key(file: &str, hash: &str, scanset: &str, deps_digest: &str, config_fp: &str) -> String {
     fields_hash([
-        "values-v2",
+        "values-v3",
         CACHE_SCHEMA,
         TOOL_VERSION_KEY,
         file,
@@ -225,7 +227,11 @@ fn values_key(file: &str, hash: &str, scanset: &str, deps_digest: &str, config_f
     ])
 }
 
-fn encode_values(calls_digest: &str, r: &wap_cfg::ValueResolution) -> Vec<u8> {
+fn encode_values(
+    calls_digest: &str,
+    r: &wap_cfg::ValueResolution,
+    summaries: &[(Symbol, ValueSummary)],
+) -> Vec<u8> {
     let mut w = Writer::new();
     w.str(calls_digest);
     let targets_seq = |w: &mut Writer, map: &std::collections::BTreeMap<u32, Vec<String>>| {
@@ -249,11 +255,31 @@ fn encode_values(calls_digest: &str, r: &wap_cfg::ValueResolution) -> Vec<u8> {
     w.usize(r.dynamic_includes_resolved);
     w.usize(r.dynamic_calls_resolved);
     w.usize(r.dynamic_calls_unresolved);
+    w.seq(summaries.len());
+    for (name, summary) in summaries {
+        w.str(name.as_str());
+        w.bool(summary.pieces.is_some());
+        let pieces = summary.pieces.as_deref().unwrap_or_default();
+        w.seq(pieces.len());
+        for piece in pieces {
+            w.bool(matches!(piece, Piece::Lit(_)));
+            match piece {
+                Piece::Lit(lit) => w.str(lit),
+                Piece::Param(i) => w.usize(*i),
+            }
+        }
+    }
     w.into_bytes()
 }
 
-/// Decodes a `values` entry into its calls digest and resolution facts.
-fn decode_values(bytes: &[u8]) -> Result<(String, wap_cfg::ValueResolution), CodecError> {
+/// One file's function value summaries, in declaration order.
+type SummaryList = Vec<(Symbol, ValueSummary)>;
+
+/// Decodes a `values` entry into its calls digest, resolution facts and
+/// function value summaries.
+fn decode_values(
+    bytes: &[u8],
+) -> Result<(String, wap_cfg::ValueResolution, SummaryList), CodecError> {
     let mut r = Reader::new(bytes);
     let calls_digest = r.str()?;
     let targets_map = |r: &mut Reader| -> Result<_, CodecError> {
@@ -289,13 +315,30 @@ fn decode_values(bytes: &[u8]) -> Result<(String, wap_cfg::ValueResolution), Cod
         dynamic_calls_resolved: r.usize()?,
         dynamic_calls_unresolved: r.usize()?,
     };
+    let n = r.seq()?;
+    let mut summaries = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        let name = Symbol::intern(&r.str()?);
+        let known = r.bool()?;
+        let pn = r.seq()?;
+        let mut pieces = Vec::with_capacity(pn.min(1024));
+        for _ in 0..pn {
+            pieces.push(if r.bool()? {
+                Piece::Lit(r.str()?)
+            } else {
+                Piece::Param(r.usize()?)
+            });
+        }
+        let pieces = known.then_some(pieces);
+        summaries.push((name, ValueSummary { pieces }));
+    }
     if !r.is_empty() {
         return Err(CodecError(format!(
             "{} trailing bytes after values entry",
             r.remaining()
         )));
     }
-    Ok((calls_digest, out))
+    Ok((calls_digest, out, summaries))
 }
 
 /// One declared function in a decl entry.
@@ -622,7 +665,7 @@ fn decode_findings(
 
 /// Looks `key` up and decodes its payload, recording a hit, a miss or a
 /// corrupt entry against `file`; a corrupt entry is rejected.
-pub(crate) fn probe<T, E>(
+fn probe<T, E>(
     store: &CacheStore,
     key: &str,
     file: &str,
@@ -655,12 +698,12 @@ struct Scan<'a> {
     /// and computes only the misses. With none, every file is a miss.
     store: Option<&'a CacheStore>,
     sources: &'a [(String, String)],
-    options: &'a ScanOptions,
     runtime: Runtime,
     obs: JobHandle<'a>,
 }
 
-/// Wall-clock nanoseconds per phase, summed over the stages.
+/// Wall-clock nanoseconds per phase, summed over the stages (`cfg` and
+/// `lint` over the lint stage's tasks).
 #[derive(Default)]
 struct Ns {
     parse: u64,
@@ -668,6 +711,8 @@ struct Ns {
     predict: u64,
     cache: u64,
     values: u64,
+    cfg: u64,
+    lint: u64,
 }
 
 /// The key material of a scan with a store.
@@ -679,12 +724,17 @@ struct Keys<'a> {
     deps: Vec<String>,
 }
 
-/// The analysis pipeline: decl/parse, values (`--values`), taint passes
-/// 1 and 2, symptoms + vote. With a store, each stage looks its entries
-/// up, computes the misses and stores them. With none, every file is a
-/// miss and no content hash, decl record, digest or payload is built. Either way the report is byte-identical, and the
-/// programs and value facts derived on the way come back for the lint
-/// pass.
+/// The scan pipeline: decl/parse, values (`--values`), taint passes 1
+/// and 2, symptoms + vote, and last, when `lint` is given, the lint
+/// stage. With a store, each stage looks its entries up, computes the
+/// misses and stores them. With none, every file is a miss and no content
+/// hash, decl record, digest or payload is built. Either way the report
+/// is byte-identical. The programs and value facts derived on the way are
+/// freed before it returns.
+///
+/// `given` findings, from an earlier scan of the same sources, stand in
+/// for the taint and vote stages; the report then carries no findings of
+/// its own.
 ///
 /// Returns `None` when the store turns out unsuitable: duplicate file
 /// names, or a decl entry the parser now contradicts. The caller then
@@ -694,8 +744,10 @@ pub(crate) fn analyze(
     store: Option<&CacheStore>,
     sources: &[(String, String)],
     options: &ScanOptions,
+    lint: Option<&LintRules>,
+    given: Option<&[Finding]>,
     obs: JobHandle<'_>,
-) -> Option<(AppReport, ScanArtifacts)> {
+) -> Option<AppReport> {
     let start = Instant::now();
     let alloc_start = wap_obs::allocations_now();
     let stats_before = store.map(|s| s.stats().snapshot());
@@ -703,7 +755,6 @@ pub(crate) fn analyze(
         tool,
         store,
         sources,
-        options,
         runtime: tool.runtime(),
         obs,
     };
@@ -740,82 +791,37 @@ pub(crate) fn analyze(
             deps,
         }
     });
-    let file_index: HashMap<&str, usize> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
 
     let keyed = keys.as_ref();
     let mut values = None;
     if options.values {
         values = Some(values_stage(&scan, &files, &programs, keyed, &mut ns)?);
     }
-    // the taint engine's resolution view: only files with at least one
-    // resolved include or call appear
-    let resolutions: HashMap<String, FileResolution> = values
-        .as_ref()
-        .map(|v| {
-            (0..files.len())
-                .filter_map(|i| {
-                    let r = v.resolution(i);
-                    (!r.includes.is_empty() || !r.calls.is_empty()).then(|| {
-                        let view = FileResolution {
-                            includes: r.includes.iter().map(|(k, v)| (*k, v.clone())).collect(),
-                            calls: r.calls.iter().map(|(k, v)| (*k, v.clone())).collect(),
-                        };
-                        (files[i].name.clone(), view)
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    // files some resolved include points at: parsed alongside any pass
-    // miss so inlined include execution matches an uncached run
-    let mut include_targets: Vec<usize> = Vec::new();
-    if let (Some(k), Some(v)) = (&mut keys, &values) {
-        let set: BTreeSet<usize> = (0..files.len())
-            .flat_map(|i| v.resolution(i).includes.values())
-            .flatten()
-            .filter_map(|t| file_index.get(t.as_str()).copied())
-            .collect();
-        include_targets = set.into_iter().collect();
-        let t = Instant::now();
-        k.deps = values_deps(&scan, &files, &file_index, k, v);
-        ns.cache += elapsed_ns(t);
-    }
-
-    // ---- taint passes ----
-    // each program's declarations are walked once, for both passes
-    let functions: Vec<OnceLock<Vec<&Function>>> = files.iter().map(|_| OnceLock::new()).collect();
-    let taint = TaintInputs {
-        files: &files,
-        programs: &programs,
-        functions: &functions,
-        resolutions: &resolutions,
-        include_targets: &include_targets,
+    let derived = match given {
+        Some(_) => None,
+        None => Some(detect(
+            &scan,
+            &files,
+            &programs,
+            keys.as_mut(),
+            values.as_mut(),
+            &mut ns,
+        )?),
     };
-    let p1 = taint_pass(&scan, &taint, keys.as_ref(), false, &mut ns)?;
-    let ran_pass2 = tool.config.analysis.second_order && p1.iter().any(PassArtifacts::store_seen);
-    let mut candidates = pass_candidates(&p1);
-    drop(p1);
-    if ran_pass2 {
-        let p2 = taint_pass(&scan, &taint, keys.as_ref(), true, &mut ns)?;
-        candidates.extend(pass_candidates(&p2));
-    }
-    let candidates = dedup_and_sort(candidates);
-
-    let findings = findings_stage(
-        &scan,
-        &files,
-        &programs,
-        keys.as_ref(),
-        &file_index,
-        values.as_mut(),
-        candidates,
-        ran_pass2,
-        &mut ns,
-    )?;
+    let findings = derived.as_deref().or(given).unwrap_or_default();
+    let lint_findings = match lint {
+        Some(lint) => lint_stage(
+            &scan,
+            &files,
+            &programs,
+            keys.as_ref(),
+            values.as_mut(),
+            findings,
+            lint,
+            &mut ns,
+        )?,
+        None => Vec::new(),
+    };
 
     let (edges_resolved, edges_unresolved) = values.as_ref().map_or((0, 0), |v| {
         (0..files.len()).fold((0, 0), |(res, unres), i| {
@@ -827,10 +833,17 @@ pub(crate) fn analyze(
     if values.is_some() {
         stats.set_phase_ns(Phase::Values, ns.values);
     }
+    if let Some(lint) = lint {
+        stats.set_phase_ns(Phase::Cfg, ns.cfg);
+        stats.set_phase_ns(Phase::Lint, ns.lint);
+        if let Some(compile_ns) = lint.compile_ns {
+            stats.set_phase_ns(Phase::Rules, compile_ns);
+        }
+    }
     stats.allocations = wap_obs::allocations_now().saturating_sub(alloc_start);
     stats.peak_rss_bytes = wap_obs::peak_rss_bytes();
     let report = AppReport {
-        findings,
+        findings: derived.unwrap_or_default(),
         files_analyzed: files.len(),
         loc,
         parse_errors,
@@ -841,9 +854,9 @@ pub(crate) fn analyze(
             .map_or_else(CacheStatsSnapshot::default, |(s, before)| {
                 s.stats().snapshot().since(before)
             }),
-        lint_ran: false,
-        lint: Vec::new(),
-        lint_rules: Vec::new(),
+        lint_ran: lint.is_some(),
+        lint: lint_findings,
+        lint_rules: lint.map(|l| l.rules.rule_table()).unwrap_or_default(),
         values_ran: values.is_some(),
         dynamic_edges_resolved: edges_resolved,
         dynamic_edges_unresolved: edges_unresolved,
@@ -851,25 +864,18 @@ pub(crate) fn analyze(
         tool_version: wap_report::TOOL_VERSION,
     };
 
-    // what was derived, by source index, for the lint pass
-    let n = sources.len();
-    let mut artifacts = ScanArtifacts {
-        programs: (0..n).map(|_| None).collect(),
-        parse_failed: vec![true; n],
-        values: None,
-    };
-    for (f, program) in files.iter().zip(programs) {
-        artifacts.parse_failed[f.src] = false;
-        artifacts.programs[f.src] = program.into_inner();
+    // freed one file per task, so a large app's trees are not torn down
+    // on the calling thread alone
+    let programs: Vec<Program> = programs
+        .into_iter()
+        .filter_map(OnceLock::into_inner)
+        .collect();
+    scan.runtime.map(programs, |_, program| drop(program));
+    if let Some(v) = values {
+        scan.runtime
+            .map(v.facts.into_iter().flatten().collect(), |_, fv| drop(fv));
     }
-    if let Some(v) = values.filter(|v| v.facts.iter().all(Option::is_some)) {
-        let facts = files
-            .iter()
-            .zip(v.facts)
-            .map(|(f, fv)| (f.name.clone(), fv.expect("checked")));
-        artifacts.values = Some(facts.collect());
-    }
-    Some((report, artifacts))
+    Some(report)
 }
 
 /// The decl/parse stage. With a store, each file's decl entry (its
@@ -1071,16 +1077,18 @@ fn ensure_parsed(
     Some(())
 }
 
-/// The value stage's products (`--values`), shared by the taint-pass and
-/// findings stages.
+/// The value stage's products (`--values`), shared by the taint-pass,
+/// findings and lint stages.
 struct Values {
     /// Full value facts (snapshots included) by file index, for the files
     /// interpreted this scan.
     facts: Vec<Option<wap_cfg::FileValues>>,
     /// Resolution facts replayed from the cache, by file index.
     replayed: Vec<Option<wap_cfg::ValueResolution>>,
-    /// Merged function value summaries, once some stage computed them.
-    summaries: Option<HashMap<Symbol, wap_cfg::ValueSummary>>,
+    /// Every file's function value summaries, merged first-declaration-
+    /// wins in file order — the same canonical owner rule the taint
+    /// function index applies.
+    summaries: HashMap<Symbol, ValueSummary>,
     /// Scan-set file names — the include-resolution target universe.
     scan_set: wap_cfg::ScanSet,
 }
@@ -1095,34 +1103,13 @@ impl Values {
     }
 }
 
-/// Merges per-file value summaries first-declaration-wins in file order —
-/// the same canonical owner rule the taint function index applies.
-/// `program(i)` is file `i`'s program; a file without one must declare
-/// nothing.
-pub(crate) fn compute_value_summaries<'p>(
-    runtime: &Runtime,
-    n: usize,
-    program: impl Fn(usize) -> Option<&'p Program> + Sync,
-) -> HashMap<Symbol, wap_cfg::ValueSummary> {
-    let lists: Vec<Vec<(Symbol, wap_cfg::ValueSummary)>> = runtime.run(n, |i| {
-        program(i)
-            .map(wap_cfg::summarize_values)
-            .unwrap_or_default()
-    });
-    let mut summaries = HashMap::new();
-    for list in lists {
-        for (name, s) in list {
-            summaries.entry(name).or_insert(s);
-        }
-    }
-    summaries
-}
-
 /// The value stage. With a store, every file's `values` entry is looked
-/// up and only the misses are interpreted, their resolution facts written
-/// back; with none, every file is interpreted. A hit whose dynamic-call
-/// targets' declarations changed since it was written is stale, and
-/// interpreted like a miss.
+/// up and only the misses are parsed and interpreted, their entries
+/// written back; with none, every file is interpreted. A hit whose
+/// dynamic-call targets' declarations changed since it was written is
+/// stale, and interpreted like a miss. The summary merge takes each hit's
+/// function value summaries from its entry and each miss's from its
+/// program.
 fn values_stage(
     scan: &Scan<'_>,
     files: &[FileMeta],
@@ -1133,9 +1120,10 @@ fn values_stage(
     let mut v = Values {
         facts: files.iter().map(|_| None).collect(),
         replayed: files.iter().map(|_| None).collect(),
-        summaries: None,
+        summaries: HashMap::new(),
         scan_set: wap_cfg::ScanSet::new(&files.iter().map(|f| f.name.clone()).collect()),
     };
+    let mut lists: Vec<SummaryList> = files.iter().map(|_| Vec::new()).collect();
     let mut entry_keys = Vec::new();
     if let Some(k) = keys {
         let scanset = fields_hash(files.iter().map(|f| f.name.as_str()));
@@ -1149,8 +1137,9 @@ fn values_stage(
             let name = &files[i].name;
             v.replayed[i] = match k.store.probe(key) {
                 Some((p, tier)) => match decode_values(&p) {
-                    Ok((calls_digest, r)) if calls_digest == k.decls.calls_digest(&r) => {
+                    Ok((calls_digest, r, list)) if calls_digest == k.decls.calls_digest(&r) => {
                         scan.obs.event_file(hit_event(tier), name);
+                        lists[i] = list;
                         Some(r)
                     }
                     Ok(_) => {
@@ -1175,14 +1164,26 @@ fn values_stage(
     let miss: Vec<usize> = (0..files.len())
         .filter(|&i| v.replayed[i].is_none())
         .collect();
+    ensure_parsed(scan, files, programs, &miss, ns)?;
+    let t = Instant::now();
+    let summarized = scan.runtime.map(miss.clone(), |_, i| {
+        wap_cfg::summarize_values(programs[i].get().expect("parsed for values"))
+    });
+    for (&i, list) in miss.iter().zip(summarized) {
+        lists[i] = list;
+    }
+    for (name, summary) in lists.iter().flatten() {
+        v.summaries.entry(*name).or_insert_with(|| summary.clone());
+    }
+    ns.values += elapsed_ns(t);
     if !miss.is_empty() {
         derive_values(scan, files, programs, &mut v, &miss, ns)?;
         if let Some(k) = keys {
             let t = Instant::now();
             for &i in &miss {
                 let r = v.resolution(i);
-                k.store
-                    .put(&entry_keys[i], encode_values(&k.decls.calls_digest(r), r));
+                let payload = encode_values(&k.decls.calls_digest(r), r, &lists[i]);
+                k.store.put(&entry_keys[i], payload);
             }
             ns.cache += elapsed_ns(t);
         }
@@ -1190,9 +1191,8 @@ fn values_stage(
     Some(v)
 }
 
-/// Interprets the `todo` files over the value lattice, first merging the
-/// function value summaries if no earlier stage did — which needs every
-/// decl-bearing program.
+/// Interprets the `todo` files over the value lattice, parsing any not
+/// parsed yet.
 fn derive_values(
     scan: &Scan<'_>,
     files: &[FileMeta],
@@ -1201,16 +1201,9 @@ fn derive_values(
     todo: &[usize],
     ns: &mut Ns,
 ) -> Option<()> {
-    let mut want = todo.to_vec();
-    if v.summaries.is_none() {
-        want.extend((0..files.len()).filter(|&i| !files[i].decls.is_empty()));
-    }
-    ensure_parsed(scan, files, programs, &want, ns)?;
+    ensure_parsed(scan, files, programs, todo, ns)?;
     let t = Instant::now();
-    let summaries: &HashMap<_, _> = v.summaries.get_or_insert_with(|| {
-        compute_value_summaries(&scan.runtime, programs.len(), |i| programs[i].get())
-    });
-    let scan_set = &v.scan_set;
+    let (summaries, scan_set) = (&v.summaries, &v.scan_set);
     let computed = scan.runtime.map(todo.to_vec(), |_, i| {
         let _span = scan.obs.span_file(Phase::Values, &files[i].name);
         let program = programs[i].get().expect("parsed for values");
@@ -1270,6 +1263,89 @@ fn values_deps(
         fields.extend(keys.decls.rows(&call_seen).flatten().map(str::to_string));
         fields_hash(fields)
     })
+}
+
+/// The taint and vote stages: pass 1, pass 2 when second-order analysis
+/// is on and pass 1 saw stored data, then symptoms + vote over the
+/// candidates.
+fn detect(
+    scan: &Scan<'_>,
+    files: &[FileMeta],
+    programs: &[OnceLock<Program>],
+    mut keys: Option<&mut Keys<'_>>,
+    values: Option<&mut Values>,
+    ns: &mut Ns,
+) -> Option<Vec<Finding>> {
+    let file_index: HashMap<&str, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
+    // the taint engine's resolution view: only files with at least one
+    // resolved include or call appear
+    let resolutions: HashMap<String, FileResolution> = values
+        .as_deref()
+        .map(|v| {
+            (0..files.len())
+                .filter_map(|i| {
+                    let r = v.resolution(i);
+                    (!r.includes.is_empty() || !r.calls.is_empty()).then(|| {
+                        let view = FileResolution {
+                            includes: r.includes.iter().map(|(k, v)| (*k, v.clone())).collect(),
+                            calls: r.calls.iter().map(|(k, v)| (*k, v.clone())).collect(),
+                        };
+                        (files[i].name.clone(), view)
+                    })
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    // files some resolved include points at: parsed alongside any pass
+    // miss so inlined include execution matches an uncached run
+    let mut include_targets: Vec<usize> = Vec::new();
+    if let (Some(k), Some(v)) = (keys.as_deref_mut(), values.as_deref()) {
+        let set: BTreeSet<usize> = (0..files.len())
+            .flat_map(|i| v.resolution(i).includes.values())
+            .flatten()
+            .filter_map(|t| file_index.get(t.as_str()).copied())
+            .collect();
+        include_targets = set.into_iter().collect();
+        let t = Instant::now();
+        k.deps = values_deps(scan, files, &file_index, k, v);
+        ns.cache += elapsed_ns(t);
+    }
+    let keys = keys.as_deref();
+
+    // each program's declarations are walked once, for both passes
+    let functions: Vec<OnceLock<Vec<&Function>>> = files.iter().map(|_| OnceLock::new()).collect();
+    let taint = TaintInputs {
+        files,
+        programs,
+        functions: &functions,
+        resolutions: &resolutions,
+        include_targets: &include_targets,
+    };
+    let p1 = taint_pass(scan, &taint, keys, false, ns)?;
+    let ran_pass2 =
+        scan.tool.config.analysis.second_order && p1.iter().any(PassArtifacts::store_seen);
+    let mut candidates = pass_candidates(&p1);
+    drop(p1);
+    if ran_pass2 {
+        let p2 = taint_pass(scan, &taint, keys, true, ns)?;
+        candidates.extend(pass_candidates(&p2));
+    }
+    let candidates = dedup_and_sort(candidates);
+    findings_stage(
+        scan,
+        files,
+        programs,
+        keys,
+        &file_index,
+        values,
+        candidates,
+        ran_pass2,
+        ns,
+    )
 }
 
 /// What both taint passes read.
@@ -1378,6 +1454,7 @@ fn taint_pass(
     let t = Instant::now();
     let outcome = run_pass(
         &scan.tool.catalog,
+        &scan.tool.tables().calls,
         &scan.tool.config.analysis,
         &inputs,
         &functions,
@@ -1403,9 +1480,7 @@ fn taint_pass(
 /// Symptoms + vote over the sorted candidate stream, one group per file.
 /// With a store, every group's findings entry is looked up and only the
 /// missing groups are voted — with value facts derived for their files
-/// alone — then written back; with none, every group is voted. The lint
-/// pass reads every file's value facts, so with it on they are all
-/// derived here.
+/// alone — then written back; with none, every group is voted.
 #[allow(clippy::too_many_arguments)]
 fn findings_stage(
     scan: &Scan<'_>,
@@ -1488,11 +1563,7 @@ fn findings_stage(
     ensure_parsed(scan, files, programs, &voted_files, ns)?;
     if let Some(v) = values.as_deref_mut() {
         // sink-context refinement reads the voted files' value facts
-        let needed: Vec<usize> = match scan.options.lint {
-            Some(_) => (0..files.len()).collect(),
-            None => voted_files,
-        };
-        let todo: Vec<usize> = needed
+        let todo: Vec<usize> = voted_files
             .into_iter()
             .filter(|&i| v.facts[i].is_none())
             .collect();
@@ -1515,10 +1586,11 @@ fn findings_stage(
             )
         })
         .collect();
+    let dynamic_symptoms = &scan.tool.tables().symptoms;
     let computed = scan.runtime.map(todo, |_, (file, slot, candidate)| {
         let _span = scan.obs.span_file(Phase::Vote, &files[file].name);
         let program = programs[file].get().expect("parsed for findings");
-        let mut symptoms = collect(program, &candidate, &scan.tool.dynamic_symptoms);
+        let mut symptoms = collect(program, &candidate, dynamic_symptoms);
         if let Some(fv) = values.and_then(|v| v.facts[file].as_ref()) {
             refine_with_values(&mut symptoms, fv, &candidate);
         }
@@ -1549,6 +1621,149 @@ fn findings_stage(
         .map(|f| f.expect("every candidate resolved"))
         .collect();
     Some(findings)
+}
+
+/// The lint stage, last: one task per parsed file lowers its program and
+/// runs `lint`'s rule set over it. The tainted-sink rule reads the scan's
+/// findings; with value analysis on, resolved dynamic includes leave the
+/// unresolved-include lint, and predicate rules read each file's full
+/// value facts. With a store, every file's `cfg` entry is looked up and
+/// only the misses are parsed, lowered and linted, their findings written
+/// back; with none, every file is linted.
+#[allow(clippy::too_many_arguments)]
+fn lint_stage(
+    scan: &Scan<'_>,
+    files: &[FileMeta],
+    programs: &[OnceLock<Program>],
+    keys: Option<&Keys<'_>>,
+    mut values: Option<&mut Values>,
+    findings: &[Finding],
+    lint: &LintRules,
+    ns: &mut Ns,
+) -> Option<Vec<wap_cfg::LintFinding>> {
+    use wap_cfg::SinkEvent;
+
+    // the scan's taint candidates, grouped per file for the tainted-sink
+    // rule; carriers also feed the `tainted` predicate
+    let mut events: HashMap<&str, Vec<SinkEvent>> = HashMap::new();
+    let mut tainted: HashMap<&str, BTreeSet<String>> = HashMap::new();
+    for f in findings {
+        if let Some(file) = f.candidate.file.as_deref() {
+            events.entry(file).or_default().push(SinkEvent {
+                span: f.candidate.sink_span,
+                line: f.candidate.line,
+                class: f.candidate.class.acronym().to_string(),
+                vars: f
+                    .candidate
+                    .carriers
+                    .iter()
+                    .map(|c| Symbol::intern(c))
+                    .collect(),
+            });
+            tainted
+                .entry(file)
+                .or_default()
+                .extend(f.candidate.carriers.iter().cloned());
+        }
+    }
+    // predicate rules read every file's full value facts, and key its
+    // entry on them
+    let needs_facts = lint.rules.needs_facts();
+    if let Some(v) = values.as_deref_mut().filter(|_| needs_facts) {
+        let todo: Vec<usize> = (0..files.len()).filter(|&i| v.facts[i].is_none()).collect();
+        if !todo.is_empty() {
+            derive_values(scan, files, programs, v, &todo, ns)?;
+        }
+    }
+    let values = values.as_deref();
+    let facts = |i: usize| wap_cfg::FileFacts {
+        tainted_vars: tainted.get(files[i].name.as_str()),
+        values: values.and_then(|v| v.facts[i].as_ref()),
+    };
+
+    // fact digests join the key only when the facts can change the
+    // findings: resolved-include offsets in values mode (a new scan-set
+    // file can make an include resolve), taint carriers and the full
+    // value fingerprint when predicate rules consume them
+    let mut cached: Vec<Option<Vec<wap_cfg::LintFinding>>> = files.iter().map(|_| None).collect();
+    let mut entry_keys = Vec::new();
+    if let Some(k) = keys {
+        let t = Instant::now();
+        entry_keys = scan.runtime.run(files.len(), |i| {
+            let mut salt = lint.packs_fp.clone();
+            if let Some(v) = values {
+                let offsets: Vec<String> = v
+                    .resolution(i)
+                    .includes
+                    .keys()
+                    .map(u32::to_string)
+                    .collect();
+                salt.push_str(&format!("\u{1f}values:{}", offsets.join(",")));
+            }
+            if needs_facts {
+                let facts = facts(i);
+                let carriers: Vec<&str> = facts
+                    .tainted_vars
+                    .into_iter()
+                    .flatten()
+                    .map(String::as_str)
+                    .collect();
+                salt.push_str(&format!("\u{1f}tainted:{}", carriers.join(",")));
+                if let Some(fv) = facts.values {
+                    salt.push_str(&format!("\u{1f}facts:{}", fv.facts_fingerprint()));
+                }
+            }
+            let f = &files[i];
+            cfg_lint_key(&f.name, &f.hash, &k.config_fp, &salt)
+        });
+        for (i, key) in entry_keys.iter().enumerate() {
+            cached[i] = probe(k.store, key, &files[i].name, scan.obs, decode_lint);
+        }
+        ns.cache += elapsed_ns(t);
+    }
+
+    let miss: Vec<usize> = (0..files.len()).filter(|&i| cached[i].is_none()).collect();
+    ensure_parsed(scan, files, programs, &miss, ns)?;
+    let linted = scan.runtime.map(miss.clone(), |_, i| {
+        let name = files[i].name.as_str();
+        let src = scan.sources[files[i].src].1.as_str();
+        let program = programs[i].get().expect("parsed for lint");
+        let t = Instant::now();
+        let cfgs = {
+            let _span = scan.obs.span_file(Phase::Cfg, name);
+            wap_cfg::lower_program(program)
+        };
+        let cfg_ns = elapsed_ns(t);
+        let t = Instant::now();
+        let _span = scan.obs.span_file(Phase::Lint, name);
+        let mut found = lint.rules.run_with_facts(name, &cfgs, Some(src), &facts(i));
+        if let Some(sinks) = events.get(name) {
+            found.extend(lint.rules.run_tainted(name, &cfgs, sinks));
+        }
+        // dynamic includes nothing resolved are analysis coverage gaps;
+        // with `--values` off every dynamic include is one
+        let sites: Vec<(Span, u32)> = wap_cfg::dynamic_include_sites(program)
+            .into_iter()
+            .filter(|s| !values.is_some_and(|v| v.resolution(i).includes.contains_key(&s.start())))
+            .map(|s| (s, s.line()))
+            .collect();
+        found.extend(lint.rules.run_unresolved_includes(name, &sites));
+        wap_cfg::sort_findings(&mut found);
+        found.dedup();
+        (found, cfg_ns, elapsed_ns(t))
+    });
+    for (&i, (found, cfg_ns, lint_ns)) in miss.iter().zip(linted) {
+        if let Some(k) = keys {
+            k.store.put(&entry_keys[i], encode_lint(&found));
+        }
+        ns.cfg += cfg_ns;
+        ns.lint += lint_ns;
+        cached[i] = Some(found);
+    }
+    let mut all: Vec<wap_cfg::LintFinding> = cached.into_iter().flatten().flatten().collect();
+    wap_cfg::sort_findings(&mut all);
+    all.dedup();
+    Some(all)
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@ use wap_catalog::{Catalog, WeaponConfig};
 use wap_fixer::{Corrector, FixResult};
 use wap_mining::{DynamicSymptomMap, FalsePositivePredictor, FeatureVector, PredictorGeneration};
 use wap_obs::{Collector, JobHandle, Phase};
-use wap_php::{parse, Program, Symbol};
+use wap_php::Symbol;
 use wap_runtime::Runtime;
-use wap_taint::{AnalysisOptions, Candidate};
+use wap_taint::{AnalysisOptions, CallTable, Candidate};
 
 /// Which tool generation to run — the paper compares both.
 pub use wap_mining::PredictorGeneration as Generation;
@@ -69,8 +69,8 @@ pub struct ScanOptions {
     /// call-graph edges, and refines symptom vectors with the sink's
     /// value context (quoted string, numeric cast, identifier position).
     pub values: bool,
-    /// Run the CFG lint pass (`--lint`) with these rule packs joined into
-    /// its rule set (`--rules`); `None` skips the pass. The joined pack
+    /// Run the CFG lint stage (`--lint`) with these rule packs joined into
+    /// its rule set (`--rules`); `None` skips the stage. The joined pack
     /// fingerprints key the cached per-file lint results, so installing
     /// or upgrading a pack invalidates exactly the `cfg` cache entries;
     /// with no packs the keys (and all output bytes) are identical to a
@@ -275,10 +275,20 @@ pub struct WapTool {
     pub(crate) catalog: Catalog,
     pub(crate) predictor: Arc<FalsePositivePredictor>,
     corrector: Corrector,
-    pub(crate) dynamic_symptoms: DynamicSymptomMap,
+    /// The catalog's lookup tables, derived on first use and dropped
+    /// whenever the catalog can change.
+    tables: OnceLock<CatalogTables>,
     pub(crate) config: ToolConfig,
     cache: Option<CacheStore>,
     obs: Collector,
+}
+
+/// What every scan reads from the catalog, derived once per catalog state.
+pub(crate) struct CatalogTables {
+    /// The taint passes' callee classification.
+    pub(crate) calls: CallTable,
+    /// The weapons' dynamic symptoms, for symptom collection.
+    pub(crate) symptoms: DynamicSymptomMap,
 }
 
 impl std::fmt::Debug for WapTool {
@@ -333,14 +343,13 @@ impl WapTool {
             }
         }
         let predictor = trained_predictor(config.generation, config.seed);
-        let dynamic_symptoms = DynamicSymptomMap::from_catalog(&catalog);
         let cache = config.cache_dir.as_ref().map(CacheStore::open);
         let obs = Collector::new(config.trace);
         WapTool {
             catalog,
             predictor,
             corrector,
-            dynamic_symptoms,
+            tables: OnceLock::new(),
             config,
             cache,
             obs,
@@ -355,7 +364,17 @@ impl WapTool {
     /// Mutable catalog access — the §V-A study: feeding user sanitization
     /// functions (e.g. vfront's `escape`) to the tool.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
+        self.tables = OnceLock::new();
         &mut self.catalog
+    }
+
+    /// The catalog's lookup tables, derived on first use after the catalog
+    /// last changed.
+    pub(crate) fn tables(&self) -> &CatalogTables {
+        self.tables.get_or_init(|| CatalogTables {
+            calls: CallTable::new(&self.catalog),
+            symptoms: DynamicSymptomMap::from_catalog(&self.catalog),
+        })
     }
 
     /// The tool's corrector.
@@ -365,8 +384,8 @@ impl WapTool {
 
     /// Links one more weapon at runtime.
     pub fn add_weapon(&mut self, weapon: Weapon) {
+        self.tables = OnceLock::new();
         weapon.link(&mut self.catalog, &mut self.corrector);
-        self.dynamic_symptoms = DynamicSymptomMap::from_catalog(&self.catalog);
         self.config.weapons.push(weapon.into_config());
     }
 
@@ -409,126 +428,98 @@ impl WapTool {
     }
 
     /// Analyzes an application given as `(file name, source)` pairs:
-    /// parses, runs taint analysis across all files, collects symptoms,
-    /// and classifies every candidate, with value analysis as the
-    /// configuration's [`ToolConfig::scan`] sets it.
-    ///
-    /// Every phase fans out over [`WapTool::runtime`]; findings come back
-    /// sorted by (file, line, class) regardless of the worker count.
-    ///
-    /// With a cache configured ([`ToolConfig::cache_dir`] or
-    /// [`WapTool::enable_memory_cache`]) only files whose content, callee
-    /// set, or configuration changed since the cached run are re-analyzed;
-    /// the findings are bit-identical to an uncached run either way.
+    /// [`WapTool::scan`] with the configured value choice and no lint
+    /// stage. It stays only until the benchmark harness's traced op moves
+    /// to `scan`.
     pub fn analyze_sources(&self, sources: &[(String, String)]) -> AppReport {
-        let (report, artifacts) = self.analyze(sources, &self.config.scan);
-        artifacts.release(&self.runtime());
-        report
+        let options = ScanOptions {
+            values: self.config.scan.values,
+            lint: None,
+        };
+        self.scan(sources, &options)
+            .expect("a scan without a lint stage compiles no rules")
     }
 
-    /// Scans `sources` under `options`: the analysis with the value
-    /// choice `options` makes, then the lint pass when
-    /// [`ScanOptions::lint`] names a pack set. This is the one entry point
-    /// every front end uses; one tool serves any mix of options, and the
-    /// report is byte-identical to one from a tool built with those
-    /// options as its defaults.
-    ///
-    /// The lint pass reuses the programs and value facts the analysis
-    /// already derived, cache or no cache, so each file is parsed at most
-    /// once, value-analyzed at most once, and lowered once, by the lint
-    /// pass.
+    /// Scans `sources` under `options` through the one pipeline: parse,
+    /// values ([`ScanOptions::values`]), taint, symptoms + vote and, when
+    /// [`ScanOptions::lint`] names a pack set, the lint stage. Every front
+    /// end calls it; the report is byte-identical to one from a tool built
+    /// with `options` as its defaults, at any worker count, and with a
+    /// cache ([`ToolConfig::cache_dir`], [`WapTool::enable_memory_cache`])
+    /// only what changed since the cached run is re-derived. Each file is
+    /// parsed, value-analyzed and lowered at most once, and the report's
+    /// `duration`, `cache` and memory numbers cover every stage.
     ///
     /// # Errors
     ///
-    /// Returns `Err` only when a pack rule fails to compile (packs
-    /// validated at install time never do).
+    /// Returns `Err`, before any analysis work, when a pack rule fails to
+    /// compile (packs validated at install time never do).
     pub fn scan(
         &self,
         sources: &[(String, String)],
         options: &ScanOptions,
     ) -> Result<AppReport, wap_cfg::RuleError> {
-        let (mut report, artifacts) = self.analyze(sources, options);
-        let linted = match options.lint {
-            Some(_) => self.lint(&mut report, sources, options, &artifacts),
-            None => Ok(()),
+        let obs = self.obs.job();
+        let lint = match &options.lint {
+            Some(packs) => Some(self.compile_lint(packs, obs)?),
+            None => None,
         };
-        artifacts.release(&self.runtime());
-        linted.map(|()| report)
+        Ok(self.run(sources, options, lint.as_ref(), None, obs))
     }
 
-    /// The analysis pipeline, with the tool's store when it has one. A
-    /// store the input does not suit (duplicate file names, a decl entry
-    /// the parser contradicts) sends the scan through the same pipeline
-    /// again with no store. Either way it hands back what it derived.
-    fn analyze(
+    /// Adds the lint stage's findings, rule table and phase times to a
+    /// report [`WapTool::analyze_sources`] made of the same sources, with
+    /// the configured rule packs joined in. It runs the [`WapTool::scan`]
+    /// pipeline with `report`'s findings standing in for the taint and
+    /// vote stages, so nothing is analyzed twice; `duration` and `cache`
+    /// keep describing the analysis. It stays only until the benchmark
+    /// harness's traced op moves to `scan`.
+    pub fn apply_lint(&self, report: &mut AppReport, sources: &[(String, String)]) {
+        let obs = self.obs.job();
+        let packs = self.config.scan.lint.as_deref().unwrap_or_default();
+        let lint = self
+            .compile_lint(packs, obs)
+            .expect("builtin and weapon-declared lint rules always compile");
+        let findings = Some(&report.findings[..]);
+        let linted = self.run(sources, &self.config.scan, Some(&lint), findings, obs);
+        report.lint = linted.lint;
+        report.lint_rules = linted.lint_rules;
+        report.lint_ran = true;
+        for (phase, ns) in linted.stats.phases() {
+            report.stats.add_phase_ns(phase, ns);
+        }
+    }
+
+    /// The pipeline, with the tool's store when it has one. A store the
+    /// input does not suit (duplicate file names, a decl entry the parser
+    /// contradicts) sends the scan through the same pipeline again with
+    /// no store.
+    fn run(
         &self,
         sources: &[(String, String)],
         options: &ScanOptions,
-    ) -> (AppReport, ScanArtifacts) {
-        let obs = self.obs.job();
-        let run = |store| crate::incremental::analyze(self, store, sources, options, obs);
+        lint: Option<&LintRules>,
+        given: Option<&[Finding]>,
+        obs: JobHandle<'_>,
+    ) -> AppReport {
+        let run =
+            |store| crate::incremental::analyze(self, store, sources, options, lint, given, obs);
         self.cache
             .as_ref()
             .and_then(|store| run(Some(store)))
             .unwrap_or_else(|| run(None).expect("a scan with no store always completes"))
     }
 
-    /// Runs the CFG lint pass over `sources` and attaches its findings,
-    /// rule table, and phase timings to `report`, with the configured
-    /// rule packs (`ToolConfig::scan.lint`, none when unset) joined into
-    /// the rule set.
-    ///
-    /// Call it after [`WapTool::analyze_sources`] on the same sources —
-    /// the tainted-sink rule reads the report's taint candidates, so a
-    /// sink whose tainted variables carry a dominating validation guard
-    /// is suppressed while an unguarded one becomes an error-severity
-    /// finding. The rule table combines the built-in rules with every
-    /// weapon-declared rule in the active catalog. With a cache
-    /// configured, per-file lint results are stored under
-    /// content-addressed `cfg` entries keyed on the catalog fingerprint,
-    /// so warm lint runs re-lint only changed files.
-    ///
-    /// Standalone, this derives every program and value fact it needs
-    /// itself; [`WapTool::scan`] reuses the analysis's instead.
-    pub fn apply_lint(&self, report: &mut AppReport, sources: &[(String, String)]) {
-        self.lint(
-            report,
-            sources,
-            &self.config.scan,
-            &ScanArtifacts::default(),
-        )
-        .expect("builtin and weapon-declared lint rules always compile");
-    }
-
-    /// The lint pass: the built-in lints, the weapon-declared rules, and
-    /// every pack `options` names compile into one [`wap_cfg::RuleSet`]
-    /// and run through the same engine. Whatever `artifacts` holds is
-    /// reused; whatever it lacks is derived here.
-    fn lint(
+    /// Compiles the lint stage's one rule set: the built-in lints, the
+    /// weapon-declared rules, and every rule of `packs`.
+    fn compile_lint(
         &self,
-        report: &mut AppReport,
-        sources: &[(String, String)],
-        options: &ScanOptions,
-        artifacts: &ScanArtifacts,
-    ) -> Result<(), wap_cfg::RuleError> {
-        use wap_cfg::{LintFinding, RuleSpec, SinkEvent};
-
-        let obs = self.obs.job();
-        let runtime = self.runtime();
-        let packs = options.lint.as_deref().unwrap_or_default();
-        // key material, built only with a store to key entries in
-        let config_fp = self
-            .cache
-            .as_ref()
-            .map(|_| crate::incremental::config_fingerprint(self, options))
-            .unwrap_or_default();
-        let rules_fp = packs
-            .iter()
-            .map(|p| p.fingerprint())
-            .collect::<Vec<_>>()
-            .join(",");
-
-        let mut sink_functions: Vec<String> = self
+        packs: &[wap_rules::RulePack],
+        obs: JobHandle<'_>,
+    ) -> Result<LintRules, wap_cfg::RuleError> {
+        let _span = (!packs.is_empty()).then(|| obs.span(Phase::Rules));
+        let t = Instant::now();
+        let sink_functions: std::collections::BTreeSet<String> = self
             .catalog
             .sinks()
             .filter_map(|s| match &s.kind {
@@ -536,226 +527,28 @@ impl WapTool {
                 _ => None,
             })
             .collect();
-        sink_functions.sort();
-        sink_functions.dedup();
-
-        // one rule set from all three sources: built-ins, weapon-declared
-        // rules, installed packs
-        let rule_set = {
-            let _span = (!packs.is_empty()).then(|| obs.span(Phase::Rules));
-            let t = Instant::now();
-            let mut specs = wap_cfg::builtin_specs(sink_functions);
-            specs.extend(self.catalog.lint_rules().map(|spec| {
-                RuleSpec::legacy(
-                    &spec.id,
-                    &spec.kind,
-                    &spec.function,
-                    &spec.severity,
-                    &spec.message,
-                )
-            }));
-            for pack in packs {
-                specs.extend(pack.rules.iter().cloned());
-            }
-            let rule_set = wap_cfg::RuleSet::compile(&specs)?;
-            if !packs.is_empty() {
-                report.stats.add_phase_ns(Phase::Rules, elapsed_ns(t));
-            }
-            rule_set
-        };
-        let rules = rule_set.rule_table();
-
-        // the analysis's programs; a standalone values run parses every
-        // file up front (its value stage needs them all) and the per-file
-        // tasks below reuse those, otherwise each task parses its own
-        let parsed_here: Vec<Option<Program>>;
-        let programs: &[Option<Program>] = if artifacts.values.is_none() && options.values {
-            let t = Instant::now();
-            parsed_here = runtime.run(sources.len(), |i| parse(&sources[i].1).ok());
-            // billed to the CFG phase, like the per-file parses it replaces
-            report.stats.add_phase_ns(Phase::Cfg, elapsed_ns(t));
-            &parsed_here
-        } else {
-            &artifacts.programs
-        };
-
-        // value-analysis facts (`--values`): dynamic include sites the
-        // value pass resolves are suppressed from the unresolved-include
-        // lint, and the full per-file values back predicate `where`
-        // constraints. Derived fresh each run, so the per-file digests
-        // below keep cached lint entries from going stale when another
-        // file's presence changes what resolves.
-        let computed_values: HashMap<String, wap_cfg::FileValues>;
-        let values_facts: Option<&HashMap<String, wap_cfg::FileValues>> = match &artifacts.values {
-            Some(by_file) => Some(by_file),
-            None if options.values => {
-                let t = Instant::now();
-                let inputs: Vec<(&str, &Program)> = sources
-                    .iter()
-                    .zip(programs)
-                    .filter_map(|((n, _), p)| p.as_ref().map(|p| (n.as_str(), p)))
-                    .collect();
-                let summaries =
-                    crate::incremental::compute_value_summaries(&runtime, inputs.len(), |i| {
-                        Some(inputs[i].1)
-                    });
-                let scan_set =
-                    wap_cfg::ScanSet::new(&inputs.iter().map(|(n, _)| n.to_string()).collect());
-                let facts = runtime.run(inputs.len(), |i| {
-                    let (name, program) = inputs[i];
-                    let _span = obs.span_file(Phase::Values, name);
-                    wap_cfg::analyze_file_values(name, program, &summaries, &scan_set)
-                });
-                computed_values = inputs
-                    .iter()
-                    .map(|(n, _)| n.to_string())
-                    .zip(facts)
-                    .collect();
-                report.stats.add_phase_ns(Phase::Values, elapsed_ns(t));
-                Some(&computed_values)
-            }
-            None => None,
-        };
-
-        // this report's taint candidates, grouped per file for the
-        // tainted-sink rule; carriers also feed the `tainted` predicate
-        let mut events: HashMap<&str, Vec<SinkEvent>> = HashMap::new();
-        let mut tainted_by_file: HashMap<&str, std::collections::BTreeSet<String>> = HashMap::new();
-        for f in &report.findings {
-            if let Some(file) = f.candidate.file.as_deref() {
-                events.entry(file).or_default().push(SinkEvent {
-                    span: f.candidate.sink_span,
-                    line: f.candidate.line,
-                    class: f.candidate.class.acronym().to_string(),
-                    vars: f
-                        .candidate
-                        .carriers
-                        .iter()
-                        .map(|c| Symbol::intern(c))
-                        .collect(),
-                });
-                tainted_by_file
-                    .entry(file)
-                    .or_default()
-                    .extend(f.candidate.carriers.iter().cloned());
-            }
+        let mut specs = wap_cfg::builtin_specs(sink_functions.into_iter().collect());
+        specs.extend(self.catalog.lint_rules().map(|spec| {
+            wap_cfg::RuleSpec::legacy(
+                &spec.id,
+                &spec.kind,
+                &spec.function,
+                &spec.severity,
+                &spec.message,
+            )
+        }));
+        for pack in packs {
+            specs.extend(pack.rules.iter().cloned());
         }
-        let needs_facts = rule_set.needs_facts();
-
-        // one task per file: cache lookup, else parse → lower → lint
-        let per_file: Vec<(Vec<LintFinding>, u64, u64)> = runtime.run(sources.len(), |i| {
-            let (name, src) = &sources[i];
-            let fv = values_facts.and_then(|m| m.get(name.as_str()));
-            // fact digests join the key only when the facts can change
-            // the findings: resolved-include offsets in values mode (a
-            // new scan-set file can make an include resolve), taint
-            // carriers and the full value fingerprint when predicate
-            // rules consume them. Facts are recomputed every run, so
-            // a cross-file change always re-keys this file's entry.
-            let key = self.cache.as_ref().map(|_| {
-                let mut salt = rules_fp.clone();
-                if values_facts.is_some() {
-                    let offsets = fv
-                        .map(|fv| {
-                            fv.resolution
-                                .includes
-                                .keys()
-                                .map(|v| v.to_string())
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        })
-                        .unwrap_or_default();
-                    salt.push_str(&format!("\u{1f}values:{offsets}"));
-                }
-                if needs_facts {
-                    let tainted = tainted_by_file
-                        .get(name.as_str())
-                        .map(|t| t.iter().cloned().collect::<Vec<_>>().join(","))
-                        .unwrap_or_default();
-                    salt.push_str(&format!("\u{1f}tainted:{tainted}"));
-                    if let Some(fv) = fv {
-                        salt.push_str(&format!("\u{1f}facts:{}", fv.facts_fingerprint()));
-                    }
-                }
-                crate::incremental::cfg_lint_key(
-                    name,
-                    &wap_php::content_hash(src),
-                    &config_fp,
-                    &salt,
-                )
-            });
-            if let (Some(store), Some(key)) = (&self.cache, &key) {
-                let cached = crate::incremental::probe(store, key, name, obs, |p| {
-                    crate::incremental::decode_lint(p)
-                });
-                if let Some(findings) = cached {
-                    return (findings, 0, 0);
-                }
-            }
-            if artifacts.parse_failed.get(i) == Some(&true) {
-                // the analysis already reported the parse failure
-                return (Vec::new(), 0, 0);
-            }
-            let t = Instant::now();
-            let mut own_program = None;
-            let (program, cfgs) = {
-                let _span = obs.span_file(Phase::Cfg, name);
-                let program = match programs.get(i).and_then(Option::as_ref) {
-                    Some(program) => program,
-                    None => match parse(src) {
-                        Ok(program) => own_program.insert(program),
-                        Err(_) => return (Vec::new(), elapsed_ns(t), 0),
-                    },
-                };
-                (program, wap_cfg::lower_program(program))
-            };
-            let cfg_ns = elapsed_ns(t);
-            let t = Instant::now();
-            let mut findings = {
-                let _span = obs.span_file(Phase::Lint, name);
-                let facts = wap_cfg::FileFacts {
-                    tainted_vars: tainted_by_file.get(name.as_str()),
-                    values: fv,
-                };
-                let mut fs = rule_set.run_with_facts(name, &cfgs, Some(src), &facts);
-                if let Some(sinks) = events.get(name.as_str()) {
-                    fs.extend(rule_set.run_tainted(name, &cfgs, sinks));
-                }
-                // dynamic includes nothing resolved are analysis coverage
-                // gaps; with `--values` off every dynamic include is one
-                let sites: Vec<(wap_php::Span, u32)> = wap_cfg::dynamic_include_sites(program)
-                    .into_iter()
-                    .filter(|s| !fv.is_some_and(|fv| fv.is_resolved_include(s.start())))
-                    .map(|s| (s, s.line()))
-                    .collect();
-                fs.extend(rule_set.run_unresolved_includes(name, &sites));
-                fs
-            };
-            wap_cfg::sort_findings(&mut findings);
-            findings.dedup();
-            let lint_ns = elapsed_ns(t);
-            if let (Some(store), Some(key)) = (&self.cache, &key) {
-                store.put(key, crate::incremental::encode_lint(&findings));
-            }
-            (findings, cfg_ns, lint_ns)
-        });
-        drop(events);
-
-        let mut lint: Vec<LintFinding> = Vec::new();
-        let (mut cfg_ns, mut lint_ns) = (0u64, 0u64);
-        for (findings, c, l) in per_file {
-            lint.extend(findings);
-            cfg_ns += c;
-            lint_ns += l;
-        }
-        wap_cfg::sort_findings(&mut lint);
-        lint.dedup();
-        report.lint = lint;
-        report.lint_rules = rules;
-        report.lint_ran = true;
-        report.stats.add_phase_ns(Phase::Cfg, cfg_ns);
-        report.stats.add_phase_ns(Phase::Lint, lint_ns);
-        Ok(())
+        Ok(LintRules {
+            rules: wap_cfg::RuleSet::compile(&specs)?,
+            packs_fp: packs
+                .iter()
+                .map(|p| p.fingerprint())
+                .collect::<Vec<_>>()
+                .join(","),
+            compile_ns: (!packs.is_empty()).then(|| elapsed_ns(t)),
+        })
     }
 
     /// Corrects one file: applies fixes for every *real* finding located
@@ -775,31 +568,14 @@ pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What the analysis derived on the way to its report, by source index,
-/// handed to the lint pass so it does not derive it again. The lint pass
-/// computes whatever is missing; [`ScanArtifacts::default`] holds nothing.
-#[derive(Default)]
-pub(crate) struct ScanArtifacts {
-    /// Parsed programs, `None` where the file failed to parse or the
-    /// analysis did not parse it.
-    pub(crate) programs: Vec<Option<Program>>,
-    /// Whether the file failed to parse (the report lists it already).
-    pub(crate) parse_failed: Vec<bool>,
-    /// Every parsed file's value facts, keyed by name, when the value
-    /// stage derived them all.
-    pub(crate) values: Option<HashMap<String, wap_cfg::FileValues>>,
-}
-
-impl ScanArtifacts {
-    /// Frees what the scan derived, one file per task on `runtime`, so a
-    /// large app's trees are not torn down on the calling thread alone.
-    pub(crate) fn release(self, runtime: &Runtime) {
-        let programs: Vec<Program> = self.programs.into_iter().flatten().collect();
-        runtime.map(programs, |_, program| drop(program));
-        if let Some(values) = self.values {
-            runtime.map(values.into_values().collect(), |_, facts| drop(facts));
-        }
-    }
+/// The lint stage's compiled configuration.
+pub(crate) struct LintRules {
+    /// Built-ins, weapon-declared rules and the packs' rules in one set.
+    pub(crate) rules: wap_cfg::RuleSet,
+    /// The packs' fingerprints, joined; they key the `cfg` entries.
+    pub(crate) packs_fp: String,
+    /// What compiling took, when a pack was joined (the `rules` phase).
+    pub(crate) compile_ns: Option<u64>,
 }
 
 /// Rewrites value-context symptoms from the lattice at this candidate's

@@ -9,12 +9,13 @@
 //! about 6% of the CPU time in those scans. [`CallTable`] answers all of
 //! them with one hash lookup on the callee's lowercased [`Symbol`].
 //!
-//! The table is built from the catalog at the start of every
-//! [`run_pass`](crate::run_pass), in one walk over its sinks, sanitizers
-//! and entry points (a few dozen microseconds), so a weapon linked or a
-//! class restricted between two scans is seen by the next one. A name
-//! outside the table is answered by the same rules; the tests check that
-//! a lookup agrees with the catalog's own predicates for every name.
+//! The table is built from the catalog in one walk over its sinks,
+//! sanitizers and entry points (a few dozen microseconds). Its owner
+//! builds it once per catalog state and hands it to every
+//! [`run_pass`](crate::run_pass), rebuilding it after a weapon is linked
+//! or a class restricted. A name outside the table is answered by the
+//! same rules; the tests check that a lookup agrees with the catalog's
+//! own predicates for every name.
 
 use std::collections::HashMap;
 use wap_catalog::{Catalog, EntryPoint, SinkArgs, SinkKind, VulnClass};
@@ -82,8 +83,9 @@ impl CallInfo {
     }
 }
 
-/// Callee classifications and entry-point variables for one pass.
-pub(crate) struct CallTable {
+/// Callee classifications and entry-point variables for one catalog
+/// state, read by every pass run against it.
+pub struct CallTable {
     /// Keyed by the lowercased callee name.
     calls: HashMap<Symbol, CallInfo>,
     /// Entry superglobals and entry variables (exact case); the value is
@@ -99,7 +101,7 @@ impl CallTable {
     /// Classifies every name the catalog and the engine's builtin lists
     /// mention, in one walk over each: a name's sinks and sanitized
     /// classes keep catalog order, as the catalog's queries return them.
-    pub(crate) fn new(catalog: &Catalog) -> Self {
+    pub fn new(catalog: &Catalog) -> Self {
         fn info<'t>(calls: &'t mut HashMap<Symbol, CallInfo>, name: &str) -> &'t mut CallInfo {
             let key = Symbol::intern(name).lower();
             calls

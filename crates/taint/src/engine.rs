@@ -128,9 +128,11 @@ pub fn analyze(
         })
         .collect();
     let no_resolutions = HashMap::new();
+    let calls = CallTable::new(catalog);
     let pass = |fetch_is_tainted| {
         let outcome = run_pass(
             catalog,
+            &calls,
             options,
             &inputs,
             &functions,
@@ -498,12 +500,15 @@ fn plan_phase_a<'a>(
 ///
 /// `functions[i]` is `files[i]`'s [`Program::functions`], or empty when
 /// the file comes without a program, so a caller running both passes
-/// walks each program once. `resolutions` are value-analysis facts (see
-/// [`FileResolution`]): phase B inlines resolved includes and dispatches
-/// resolved dynamic calls. An empty map leaves the pass purely syntactic.
+/// walks each program once. `calls` is [`CallTable::new`] of `catalog`,
+/// built once by the caller for any number of passes. `resolutions` are
+/// value-analysis facts (see [`FileResolution`]): phase B inlines
+/// resolved includes and dispatches resolved dynamic calls. An empty map
+/// leaves the pass purely syntactic.
 #[allow(clippy::too_many_arguments)]
 pub fn run_pass<'a>(
     catalog: &Catalog,
+    calls: &CallTable,
     options: &AnalysisOptions,
     files: &[PassInput<'a>],
     functions: &[&[&'a Function]],
@@ -513,7 +518,6 @@ pub fn run_pass<'a>(
     obs: wap_obs::JobHandle<'_>,
 ) -> PassOutcome {
     let index = build_fn_index(files);
-    let calls = CallTable::new(catalog);
     let programs_by_name: HashMap<&str, &Program> = files
         .iter()
         .filter_map(|f| f.program.map(|p| (f.name.as_str(), p)))
@@ -544,7 +548,7 @@ pub fn run_pass<'a>(
                 let program = f.program.expect("fresh file must be parsed");
                 let engine = Engine::for_file(
                     catalog,
-                    &calls,
+                    calls,
                     options,
                     &index,
                     &f.name,
@@ -578,7 +582,7 @@ pub fn run_pass<'a>(
         let program = f.program.expect("fresh file must be parsed");
         let mut engine = Engine::for_file(
             catalog,
-            &calls,
+            calls,
             options,
             &index,
             &f.name,
@@ -2773,8 +2777,10 @@ mod tests {
                 .map(|f| f.program.map(Program::functions).unwrap_or_default())
                 .collect();
             let functions: Vec<&[&Function]> = functions.iter().map(Vec::as_slice).collect();
+            let catalog = Catalog::wape();
             run_pass(
-                &Catalog::wape(),
+                &catalog,
+                &CallTable::new(&catalog),
                 &AnalysisOptions::default(),
                 &files,
                 &functions,

@@ -40,6 +40,7 @@ pub mod scc;
 pub mod serial;
 pub mod state;
 
+pub use calls::CallTable;
 pub use engine::{
     analyze, analyze_program, collect_literals, dedup_and_sort, function_fingerprint,
     function_refs, pass_candidates, referenced_names, run_pass, AnalysisOptions, FileResolution,

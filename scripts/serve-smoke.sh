@@ -7,9 +7,10 @@
 #      with the checked-in jq assertion (scripts/sarif_assert.jq)
 #   4. compare the server's SARIF byte-for-byte against the CLI's
 #   5. rescan (warm cache) and require identical bytes + a cache hit
-#   6. upload a 600-function call chain (about 23 KB) as a tarball,
+#   6. a cold and a warm lint + values scan, each byte-identical to the CLI
+#   7. upload a 600-function call chain (about 23 KB) as a tarball,
 #      require its flow, then require /healthz to still answer
-#   7. SIGTERM the server and require a graceful exit with status 0
+#   8. SIGTERM the server and require a graceful exit with status 0
 #
 # Requires: curl, jq, and target/release/wap (built by the caller).
 set -euo pipefail
@@ -131,6 +132,20 @@ done
 grep -q '^# TYPE wap_serve_scan_duration_seconds histogram$' "$WORK/metrics.txt" \
     || fail "scan duration family not typed as histogram"
 echo "serve-smoke: latency histograms OK"
+
+# --- lint + values: the lint stage runs inside the one scan pipeline -------
+# A cold and then a warm `?lint=1&values=1` scan on the shared cache must
+# each render the CLI's bytes: the warm one replays the `cfg` and `values`
+# entries the cold one wrote.
+"$BIN" --lint --values --format sarif --fail-on none "$WORK/app" > "$WORK/cli-lint.sarif" \
+    || fail "CLI lint scan failed"
+for run in cold warm; do
+    curl -fsS -X POST "http://$ADDR/v1/scan?path=$WORK/app&lint=1&values=1&format=sarif" \
+        -o "$WORK/lint-$run.sarif" || fail "$run lint scan request failed"
+    cmp "$WORK/lint-$run.sarif" "$WORK/cli-lint.sarif" \
+        || fail "$run lint scan SARIF differs from the CLI's"
+done
+echo "serve-smoke: cold and warm lint scans byte-identical to CLI"
 
 # --- call-chain upload: the chain's length must not become stack depth ----
 # Summaries are derived callee-first, so a worker's default 2 MiB stack

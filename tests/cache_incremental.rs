@@ -482,7 +482,9 @@ fn spans_by_file(tool: &WapTool, phase: wap_obs::Phase) -> Vec<(String, usize)> 
 /// A warm rescan parses the edited files and the files that depend on
 /// them, never a callee's owner: a cached callee lends its summary from
 /// its pass entry. `lib_b.php` and `page_b.php` share no call path with
-/// the edits; `lib_c.php` owns `clean_a`, which `fetch_a` calls.
+/// the edits; `lib_c.php` owns `clean_a`, which `fetch_a` calls. With
+/// value analysis on the parse set is the same: the files whose `values`
+/// entries hit lend their function value summaries from those entries.
 #[test]
 fn warm_rescan_parses_only_the_dependency_closure() {
     let base: Vec<(String, String)> = vec![
@@ -509,11 +511,6 @@ fn warm_rescan_parses_only_the_dependency_closure() {
                 .to_string(),
         ),
     ];
-    let config = || ToolConfig::builder().no_weapons().trace(true).build();
-    let mut tool = WapTool::new(config());
-    tool.enable_memory_cache();
-    tool.analyze_sources(&base);
-
     let edits = [
         // a page edit: the page alone
         (
@@ -528,25 +525,38 @@ fn warm_rescan_parses_only_the_dependency_closure() {
             &["lib_a.php", "page_a.php"][..],
         ),
     ];
-    for (file, text, parsed) in edits {
-        let mut edited = base.clone();
-        edited[file].1 = text.to_string();
-        tool.obs().clear();
-        let warm = tool.analyze_sources(&edited);
-        let cold = WapTool::new(config()).analyze_sources(&edited);
-        assert_eq!(
-            fingerprint(&cold),
-            fingerprint(&warm),
-            "edit of {}",
-            base[file].0
-        );
-        let expected: Vec<(String, usize)> = parsed.iter().map(|f| (f.to_string(), 1)).collect();
-        assert_eq!(
-            spans_by_file(&tool, wap_obs::Phase::Parse),
-            expected,
-            "parse set after editing {}",
-            base[file].0
-        );
+    for values in [false, true] {
+        let config = || {
+            ToolConfig::builder()
+                .no_weapons()
+                .trace(true)
+                .values(values)
+                .build()
+        };
+        let mut tool = WapTool::new(config());
+        tool.enable_memory_cache();
+        tool.analyze_sources(&base);
+        for (file, text, parsed) in edits {
+            let mut edited = base.clone();
+            edited[file].1 = text.to_string();
+            tool.obs().clear();
+            let warm = tool.analyze_sources(&edited);
+            let cold = WapTool::new(config()).analyze_sources(&edited);
+            assert_eq!(
+                fingerprint(&cold),
+                fingerprint(&warm),
+                "values={values}: edit of {}",
+                base[file].0
+            );
+            let expected: Vec<(String, usize)> =
+                parsed.iter().map(|f| (f.to_string(), 1)).collect();
+            assert_eq!(
+                spans_by_file(&tool, wap_obs::Phase::Parse),
+                expected,
+                "values={values}: parse set after editing {}",
+                base[file].0
+            );
+        }
     }
 }
 

@@ -149,16 +149,30 @@ fn scan_stats_per_file_breakdown_follows_the_trace_flag() {
 }
 
 /// An uncached `scan` with lint on derives each file's IR once: the lint
-/// pass reuses the analysis's programs and value facts. Every file gets
-/// one parse span; every file that parsed gets one CFG lowering (by the
-/// lint pass) and one value-stage span. A second parse, lowering or value
-/// stage in the lint pass shows up as a second span for the file. A scan
-/// on an empty store is the same pipeline with every file a miss, so it
-/// derives exactly as much.
+/// stage reuses the earlier stages' programs and value facts. Every file
+/// gets one parse span; every file that parsed gets one CFG lowering (by
+/// the lint stage) and one value-stage span. A second parse, lowering or
+/// value stage in the lint stage shows up as a second span for the file.
+/// A scan on an empty store is the same pipeline with every file a miss,
+/// so it derives exactly as much. A warm rescan of that store after a
+/// one-file edit derives each file at most once too, and lowers only the
+/// files whose `cfg` entry missed.
 #[test]
 fn uncached_scan_derives_each_file_once() {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use wap_obs::{Phase, Record};
+
+    let spans_of = |tool: &WapTool| {
+        let mut spans: BTreeMap<(Phase, String), usize> = BTreeMap::new();
+        for record in tool.obs().records() {
+            if let Record::Span(s) = record {
+                if let Some(file) = s.file {
+                    *spans.entry((s.phase, file)).or_default() += 1;
+                }
+            }
+        }
+        spans
+    };
 
     let mut sources = corpus_sources();
     sources.push(("broken.php".to_string(), "<?php $x = ;\n".to_string()));
@@ -180,14 +194,7 @@ fn uncached_scan_derives_each_file_once() {
         assert!(report.lint_ran && report.values_ran);
         assert_eq!(report.parse_errors.len(), 1, "only broken.php fails");
 
-        let mut spans: BTreeMap<(Phase, String), usize> = BTreeMap::new();
-        for record in tool.obs().records() {
-            if let Record::Span(s) = record {
-                if let Some(file) = s.file {
-                    *spans.entry((s.phase, file)).or_default() += 1;
-                }
-            }
-        }
+        let spans = spans_of(&tool);
         let count =
             |phase: Phase, file: &str| spans.get(&(phase, file.to_string())).copied().unwrap_or(0);
         for (name, _) in &sources {
@@ -197,5 +204,46 @@ fn uncached_scan_derives_each_file_once() {
             assert_eq!(count(Phase::Cfg, name), derived, "{label}: lowerings");
             assert_eq!(count(Phase::Values, name), derived, "{label}: value stages");
         }
+        if !empty_store {
+            continue;
+        }
+
+        let mut edited = sources.clone();
+        edited[0]
+            .1
+            .push_str("\n$edited = $_GET['e'];\necho $edited;\n");
+        tool.obs().clear();
+        let warm = tool
+            .scan(&edited, &tool.config().scan)
+            .expect("rules compile");
+        let cold = WapTool::new(ToolConfig::builder().jobs(2).values(true).build())
+            .scan(&edited, &tool.config().scan)
+            .expect("rules compile");
+        assert_eq!(fingerprint(&warm), fingerprint(&cold));
+        assert_eq!(format!("{:?}", warm.lint), format!("{:?}", cold.lint));
+        let missed: BTreeSet<String> = tool
+            .obs()
+            .records()
+            .into_iter()
+            .filter_map(|record| match record {
+                Record::Event(e) if e.name == "cache_miss" => e.file,
+                _ => None,
+            })
+            .collect();
+        let spans = spans_of(&tool);
+        for ((phase, file), n) in &spans {
+            if matches!(phase, Phase::Parse | Phase::Cfg | Phase::Values) {
+                assert_eq!(*n, 1, "warm rescan: {phase:?} spans of {file}");
+            }
+            if *phase == Phase::Cfg {
+                assert!(missed.contains(file), "warm rescan lowered {file}, a hit");
+            }
+        }
+        let lowered = spans.keys().filter(|(p, _)| *p == Phase::Cfg).count();
+        assert!(spans.contains_key(&(Phase::Cfg, edited[0].0.clone())));
+        assert!(
+            lowered < sources.len() - 1,
+            "warm rescan lowered every file"
+        );
     }
 }

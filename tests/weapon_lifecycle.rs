@@ -179,3 +179,30 @@ if (isset($_GET['n'])) {
         r_with.findings[0].symptoms.present.len() > r_without.findings[0].symptoms.present.len()
     );
 }
+
+/// A weapon linked through `catalog_mut` between two scans on one tool
+/// reaches the taint passes' call table and the dynamic symptoms: the
+/// second scan reports what a tool built with the weapon reports.
+#[test]
+fn weapon_linked_through_catalog_mut_between_scans_is_seen() {
+    let plugin = r#"<?php
+global $wpdb;
+$n = $_GET['n'];
+if (absint($n) == 0) { exit; }
+$wpdb->query("SELECT * FROM {$wpdb->prefix}t WHERE c = $n");
+"#;
+    let files = vec![("p.php".to_string(), plugin.to_string())];
+    let mut built = ToolConfig::wape();
+    built.weapons = vec![WeaponConfig::wpsqli()];
+    let expected = WapTool::new(built).analyze_sources(&files);
+    assert_eq!(expected.findings.len(), 1);
+
+    let mut tool = WapTool::new(ToolConfig::wape());
+    assert!(tool.analyze_sources(&files).findings.is_empty());
+    tool.catalog_mut().add_weapon(WeaponConfig::wpsqli());
+    let linted = tool.analyze_sources(&files);
+    assert_eq!(
+        format!("{:?}", linted.findings),
+        format!("{:?}", expected.findings)
+    );
+}
